@@ -9,19 +9,12 @@ The sharded engine's pitch, measured:
    size even single-worker.
 2. **The worker sweep** — every size is rebuilt at each worker count in
    ``REPRO_SHARD_BENCH_WORKERS`` (default ``1,2,4`` plus the effective
-   core count) under *both* worker modes.  Thread mode documents the
-   GIL ceiling (the build kernels are pure Python/NumPy, so its curve
-   is flat); process mode is the one expected to scale, and on a
-   multi-core host its build speedup must increase strictly from
-   ``workers=1`` to ``workers=cores``.  That scaling bar is
-   informational by default (shared CI runners lie about cores) —
-   recorded per size in the JSON as ``process_speedup_monotone`` and
-   enforced only under ``REPRO_SHARD_BENCH_ENFORCE_SCALING=1`` on a
-   host whose ``effective_cpus`` exceeds 1.
+   core count) on the shard-build thread pool, and the JSON records the
+   build time and speedup of every point.
 3. **Serving throughput** — the shard router must sustain ≥ 100k
-   queries/s on a 100k-query batch (it sustains tens of millions; the
+   queries/s on a 100k-query batch (it sustains millions; the
    bar is the acceptance floor, the JSON records the real rate).
-4. **Exactness** — at *every* (size, workers, mode) point the released
+4. **Exactness** — at *every* (size, workers) point the released
    leaves are asserted bit-identical to the single-worker reference,
    the charged ε is asserted equal to the monolithic charge, and the
    routed answers are asserted bit-identical to a monolithic release
@@ -46,13 +39,11 @@ import pytest
 
 from repro.serving import HistogramEngine, MaterializedRelease, QueryBatch
 from repro.sharding import ShardedHistogramEngine, ShardRouter, effective_cpu_count
-from repro.sharding.pool import warm_worker_pool
 
 NUM_QUERIES = 100_000
 EPSILON = 0.1
 SEED = 7
 SHARD_SIZE = 1 << 16
-WORKER_MODES_SWEPT = ("thread", "process")
 #: below this domain exponent the speedup assertions are informational
 #: only — the whole monolithic build fits in cache and per-shard fixed
 #: overheads dominate, which is not the regime sharding targets.
@@ -100,11 +91,6 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
     router = ShardRouter()
     workers_swept = worker_counts()
     cores = effective_cpu_count()
-    enforce_scaling = (
-        os.environ.get("REPRO_SHARD_BENCH_ENFORCE_SCALING") == "1" and cores > 1
-    )
-    for w in workers_swept:
-        warm_worker_pool(w)
     for bits in domain_bits():
         n = 1 << bits
         counts = np.random.default_rng(0).poisson(3.0, size=n).astype(np.float64)
@@ -131,66 +117,55 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
         baseline_release = None
         baseline_engine = None
         sweep = []
-        process_curve = {}
-        for mode in WORKER_MODES_SWEPT:
-            for w in workers_swept:
-                engine = ShardedHistogramEngine(
-                    counts,
-                    total_epsilon=1.0,
-                    shard_size=shard_size,
-                    workers=w,
-                    worker_mode=mode,
-                )
-                start = perf_counter()
-                release = engine.materialize(
-                    "constrained", epsilon=EPSILON, seed=SEED
-                )
-                build_seconds = perf_counter() - start
+        for w in workers_swept:
+            engine = ShardedHistogramEngine(
+                counts,
+                total_epsilon=1.0,
+                shard_size=shard_size,
+                workers=w,
+            )
+            start = perf_counter()
+            release = engine.materialize("constrained", epsilon=EPSILON, seed=SEED)
+            build_seconds = perf_counter() - start
 
-                # ε exactness at every sweep point: one charge,
-                # bit-exactly the monolithic value.
-                assert engine.spent_epsilon == mono_engine.spent_epsilon == EPSILON
+            # ε exactness at every sweep point: one charge, bit-exactly
+            # the monolithic value.
+            assert engine.spent_epsilon == mono_engine.spent_epsilon == EPSILON
 
-                # Bit-identity at every sweep point: the same leaves as
-                # the single-worker thread reference, whatever pool
-                # built them.
-                leaves = release.unit_counts()
-                if baseline_leaves is None:
-                    baseline_leaves = leaves
-                    baseline_release = release
-                    baseline_engine = engine
-                else:
-                    assert np.array_equal(leaves, baseline_leaves), (
-                        f"release diverged from the workers=1 reference at "
-                        f"n=2^{bits}, mode={mode}, workers={w}"
-                    )
+            # Bit-identity at every sweep point: the same leaves as the
+            # single-worker reference, whatever the pool width.
+            leaves = release.unit_counts()
+            if baseline_leaves is None:
+                baseline_leaves = leaves
+                baseline_release = release
+                baseline_engine = engine
+            else:
+                assert np.array_equal(leaves, baseline_leaves), (
+                    f"release diverged from the workers=1 reference at "
+                    f"n=2^{bits}, workers={w}"
+                )
 
-                speedup = (
-                    mono_seconds / build_seconds
-                    if build_seconds > 0
-                    else float("inf")
-                )
-                if mode == "process":
-                    process_curve[w] = build_seconds
-                sweep.append(
-                    {
-                        "worker_mode": mode,
-                        "workers": w,
-                        "build_seconds": build_seconds,
-                        "speedup_vs_monolithic": speedup,
-                        "bit_identical": True,
-                        "charged_epsilon": engine.spent_epsilon,
-                    }
-                )
-                rows.append(
-                    {
-                        "domain_bits": bits,
-                        "mode": mode,
-                        "workers": w,
-                        "build_s": round(build_seconds, 3),
-                        "speedup_vs_mono": round(speedup, 2),
-                    }
-                )
+            speedup = (
+                mono_seconds / build_seconds if build_seconds > 0 else float("inf")
+            )
+            sweep.append(
+                {
+                    "workers": w,
+                    "build_seconds": build_seconds,
+                    "speedup_vs_monolithic": speedup,
+                    "bit_identical": True,
+                    "charged_epsilon": engine.spent_epsilon,
+                }
+            )
+            rows.append(
+                {
+                    "domain_bits": bits,
+                    "mode": "sharded",
+                    "workers": w,
+                    "build_s": round(build_seconds, 3),
+                    "speedup_vs_mono": round(speedup, 2),
+                }
+            )
 
         # The single-worker sharded build must beat the monolithic build
         # at real sizes (the cache-residency claim, workers aside).
@@ -199,21 +174,6 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
             assert baseline_seconds < mono_seconds, (
                 f"sharded build ({baseline_seconds:.2f}s) slower than "
                 f"monolithic ({mono_seconds:.2f}s) at n=2^{bits}"
-            )
-
-        # The multicore claim: in process mode, build speedup increases
-        # strictly from workers=1 to workers=cores.  Informational
-        # unless explicitly enforced on a genuinely multi-core host.
-        curve = [
-            seconds
-            for w, seconds in sorted(process_curve.items())
-            if w <= cores
-        ]
-        monotone = all(b < a for a, b in zip(curve, curve[1:]))
-        if enforce_scaling and bits >= SPEEDUP_ASSERT_BITS:
-            assert monotone, (
-                f"process-mode build times {curve} are not strictly "
-                f"improving from workers=1 to workers={cores} at n=2^{bits}"
             )
 
         # Serving: 100k mixed-length ranges through the router.
@@ -248,7 +208,6 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
             "bit_identical_to_monolithic": True,
             "charged_epsilon": baseline_engine.spent_epsilon,
             "sweep": sweep,
-            "process_speedup_monotone": monotone,
         }
 
     # Representative timed unit for --benchmark-only runs: routing the
@@ -260,7 +219,7 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
         rows,
         title=(
             f"Sharded vs monolithic H_bar build wall-clock across the "
-            f"(worker_mode x workers) sweep ({NUM_QUERIES} queries, "
+            f"workers sweep ({NUM_QUERIES} queries, "
             f"shard width {SHARD_SIZE}, effective cpus {cores})"
         ),
     )
@@ -271,8 +230,6 @@ def test_sharded_build_and_serve_scaling(report, report_json, benchmark):
             "num_queries": NUM_QUERIES,
             "epsilon": EPSILON,
             "worker_counts": workers_swept,
-            "worker_modes": list(WORKER_MODES_SWEPT),
-            "scaling_gate_enforced": enforce_scaling,
             "scales": sizes,
         },
     )

@@ -359,10 +359,10 @@ class WaveletUncertaintyModel(UncertaintyModel):
 class CompositeUncertaintyModel(UncertaintyModel):
     """Variance over a sharded release: sum the per-shard piece variances.
 
-    Shards draw independent noise, so a range decomposes across shard
-    boundaries exactly like the router decomposes counts and the
-    variances of the pieces add.  Shard geometry is passed as the plain
-    ``starts`` offsets array (no dependency on the sharding tier).
+    Shards draw independent noise, so a range splits at the shard
+    boundaries into per-shard pieces whose counts and variances add.
+    Shard geometry is passed as the plain ``starts`` offsets array (no
+    dependency on the sharding tier).
     """
 
     def __init__(

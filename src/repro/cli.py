@@ -736,7 +736,6 @@ def _sharded_engine(args: argparse.Namespace, counts: np.ndarray) -> ShardedHist
         num_shards=args.shards,
         shard_size=args.shard_size,
         workers=args.workers,
-        worker_mode=args.worker_mode,
         store=ReleaseStore(args.store),
         slo=_resolve_slo(args),
     )
@@ -754,8 +753,7 @@ def _print_sharded_build(
     else:
         print(
             f"cold start: built {engine.shard_builds} shard releases "
-            f"({engine.num_shards} shards, {engine.workers} "
-            f"{engine.worker_mode} workers) in "
+            f"({engine.num_shards} shards, {engine.workers} workers) in "
             f"{build_seconds:.2f} s and persisted them to {args.store}"
         )
     print(
@@ -1083,16 +1081,8 @@ def _add_sharded_arguments(parser: argparse.ArgumentParser, source_group) -> Non
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker-pool width for parallel shard builds (default: one per "
+        help="threads for parallel shard builds (default: one per "
         "available core, affinity/cgroup aware)",
-    )
-    parser.add_argument(
-        "--worker-mode", choices=("auto", "thread", "process"), default="auto",
-        help="how parallel shard builds execute: 'process' uses a spawn "
-        "process pool (real multicore — the build kernels hold the GIL, so "
-        "threads add no cores), 'thread' stays in-process, and 'auto' "
-        "(default) picks by worker count and shard width; releases are "
-        "bit-identical in every mode",
     )
     parser.add_argument(
         "--total-epsilon", type=float, default=None,

@@ -224,7 +224,6 @@ class EngineFleet:
         num_shards: int | None = None,
         shard_size: int | None = None,
         workers: int | None = None,
-        worker_mode: str = "auto",
         slo: AccuracySLO | None = None,
     ) -> "ShardedHistogramEngine":
         """Host a sharded massive-domain engine under ``name``.
@@ -254,7 +253,6 @@ class EngineFleet:
                 num_shards=num_shards,
                 shard_size=shard_size,
                 workers=workers,
-                worker_mode=worker_mode,
                 cache=self.cache,
                 slo=slo,
             )
@@ -335,7 +333,6 @@ class EngineFleet:
         seed: int = 0,
         delta: float = 0.0,
         workers: int | None = None,
-        worker_mode: str = "auto",
         build_first_epoch: bool = True,
         slo: AccuracySLO | None = None,
     ) -> "ShardedStreamingEngine":
@@ -368,7 +365,6 @@ class EngineFleet:
                 seed=seed,
                 delta=delta,
                 workers=workers,
-                worker_mode=worker_mode,
                 cache=self.cache,
                 name=name,
                 build_first_epoch=build_first_epoch,

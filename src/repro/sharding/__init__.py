@@ -11,23 +11,21 @@ structure*:
   over its boundaries (:mod:`repro.sharding.plan`);
 * :func:`build_shard_releases` /
   :class:`ShardedHistogramEngine` — one hierarchical release per shard,
-  built in parallel on a worker pool, each persisting as a normal
+  built in parallel on a thread pool, each persisting as a normal
   versioned store artifact under its own
   :class:`~repro.serving.release.ReleaseKey`
   (:mod:`repro.sharding.engine`);
-* the worker pool itself (:mod:`repro.sharding.pool`) — thread or
-  spawn-process execution behind a ``worker_mode`` knob; only the
-  process pool scales past one core (the build kernels hold the GIL),
-  and releases are bit-identical for any ``(workers, worker_mode)``;
+* the thread pool itself (:mod:`repro.sharding.pool`) — inline for one
+  worker, a ``ThreadPoolExecutor`` otherwise; the build kernels are
+  NumPy passes that release the GIL for most of their run, and releases
+  are bit-identical at every worker count;
 * :class:`ShardedRelease` — the assembled, immutable serving artifact:
   per-shard prefix indexes that bake in the cumulated totals of all
   preceding shards, so full-shard spans cost O(1)
   (:mod:`repro.sharding.release`);
-* :class:`ShardRouter` — decomposes each range query into ≤ 2
-  partial-shard pieces plus a run of full shards, and batch-routes
-  100k+ queries with vectorized grouped dispatch; its answers are
-  **bit-identical** to a monolithic release over the same leaves
-  (:mod:`repro.sharding.router`);
+* :class:`ShardRouter` — batch-routes 100k+ queries with one vectorized
+  gather per endpoint shard; its answers are **bit-identical** to a
+  monolithic release over the same leaves (:mod:`repro.sharding.router`);
 * :class:`ShardedStreamingEngine` /
   :class:`~repro.sharding.lineage.ShardedLineage` — per-shard epoch
   refresh: only shards whose ingest deltas cross the refresh threshold
@@ -58,7 +56,7 @@ Privacy invariants
    shard in the build set has succeeded, and an all-warm resolution
    (cache or store) charges nothing — assembly and routing are pure
    post-processing (Proposition 2).
-4. **Exactness of stitching.**  The assembled release's index is the
+4. **Exactness of assembly.**  The assembled release's index is the
    same ``cumsum`` a monolithic release computes, so routed answers are
    bit-identical to a monolithic release over the same leaves — sharding
    changes cost, never answers.
@@ -87,14 +85,9 @@ from repro.sharding.engine import (
 )
 from repro.sharding.lineage import ShardedLineage, ShardEpochRecord
 from repro.sharding.plan import DEFAULT_SHARD_SIZE, ShardPlan, resolve_plan
-from repro.sharding.pool import (
-    WORKER_MODES,
-    effective_cpu_count,
-    resolve_worker_mode,
-    shutdown_worker_pools,
-)
+from repro.sharding.pool import effective_cpu_count, shutdown_worker_pools
 from repro.sharding.release import ShardedRelease
-from repro.sharding.router import ShardedQueryPlan, ShardRouter
+from repro.sharding.router import ShardRouter
 from repro.sharding.streaming import ShardedStreamingEngine
 
 __all__ = [
@@ -102,13 +95,10 @@ __all__ = [
     "ShardPlan",
     "resolve_plan",
     "ShardedRelease",
-    "ShardedQueryPlan",
     "ShardRouter",
     "build_shard_releases",
     "derive_shard_seed",
-    "WORKER_MODES",
     "effective_cpu_count",
-    "resolve_worker_mode",
     "shutdown_worker_pools",
     "ShardedHistogramEngine",
     "ShardedLineage",

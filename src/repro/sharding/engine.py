@@ -3,8 +3,9 @@
 :class:`ShardedHistogramEngine` is the sharded sibling of
 :class:`~repro.serving.engine.HistogramEngine`: it partitions a huge
 unit-count domain with a :class:`~repro.sharding.plan.ShardPlan`, builds
-one hierarchical release *per shard* on a worker pool, and serves range
-batches through the :class:`~repro.sharding.router.ShardRouter`.
+one hierarchical release *per shard* on a thread pool
+(:mod:`repro.sharding.pool`), and serves range batches through the
+:class:`~repro.sharding.router.ShardRouter`.
 
 **Privacy accounting (parallel composition).**  The shards partition the
 domain, so neighbouring databases (one record added or removed) differ
@@ -67,12 +68,7 @@ from repro.serving.release import MaterializedRelease, ReleaseKey, fingerprint_c
 from repro.serving.stats import ServingStats
 from repro.serving.store import ReleaseStore
 from repro.sharding.plan import ShardPlan, resolve_plan
-from repro.sharding.pool import (
-    ShardBuildSpec,
-    effective_cpu_count,
-    resolve_worker_mode,
-    run_shard_builds,
-)
+from repro.sharding.pool import effective_cpu_count, run_shard_builds
 from repro.sharding.release import ShardedRelease
 from repro.sharding.router import ShardRouter
 from repro.utils.arrays import as_float_vector
@@ -141,37 +137,27 @@ def build_shard_releases(
     *,
     delta: float = 0.0,
     workers: int = 1,
-    worker_mode: str = "thread",
     retry: RetryPolicy | None = None,
 ) -> list[MaterializedRelease]:
-    """Compute one release per shard, in shard order, on a worker pool.
+    """Compute one release per shard, in shard order, on ``workers`` threads.
 
     Pure computation: nothing is cached, persisted, or charged — callers
     sequence the ε charge *after* every shard has succeeded so a failure
     anywhere leaks nothing.  Results are deterministic functions of
-    ``(counts, key)`` regardless of worker count, worker mode, or
-    completion order, and the pooled paths fail fast: the first shard
-    failure cancels every build not yet started
+    ``(counts, key)`` regardless of worker count or completion order,
+    and the pooled path fails fast: the first shard failure cancels
+    every build not yet started
     (:func:`~repro.sharding.pool.run_shard_builds`).
 
-    ``worker_mode`` selects the pool (``"thread"``, ``"process"``, or
-    ``"auto"`` by shard width — see
-    :func:`~repro.sharding.pool.resolve_worker_mode`).  The process pool
-    is the one that actually scales: the build kernels hold the GIL, so
-    threads add no cores.
-
-    **Fault and obs semantics are parent-side, for every mode.**  The
-    ``shard.build`` fault point is consulted here, in shard order, for
-    all shards *before* any build is dispatched — so an armed schedule
-    consumes one deterministic invocation sequence whether the builds
-    then run inline, on threads, or in worker processes, and an injected
-    failure aborts before any kernel work.  With a ``retry`` policy each
-    shard's fault check is retried independently (safe pre-charge: a
-    recomputed shard is bit-identical and no ε has been charged yet).
-    Metrics likewise: pooled workers return per-shard durations and the
-    parent records them; per-shard ``shard.build`` spans are emitted
-    only on the inline ``workers=1`` path (worker processes are bare —
-    see :mod:`repro.sharding.pool`).
+    The ``shard.build`` fault point is consulted here, in shard order,
+    for all shards *before* any build is dispatched — so an armed
+    schedule consumes one deterministic invocation sequence at every
+    worker count, and an injected failure aborts before any kernel
+    work.  With a ``retry`` policy each shard's fault check is retried
+    independently (safe pre-charge: a recomputed shard is bit-identical
+    and no ε has been charged yet).  Every build records its own
+    ``shard.build`` span and build-latency observation on the thread
+    that ran it.
     """
     shard_counts = list(shard_counts)
     shard_keys = list(shard_keys)
@@ -179,14 +165,11 @@ def build_shard_releases(
         raise ReproError(
             f"{len(shard_counts)} shard count vectors but {len(shard_keys)} keys"
         )
-    shard_width = max((counts.size for counts in shard_counts), default=0)
-    mode = resolve_worker_mode(worker_mode, workers=workers, shard_width=shard_width)
 
     if faults.enabled():
         # Before any mechanism work, for every shard, in shard order: an
         # injected shard failure aborts the whole epoch/materialization
-        # pre-charge and pre-dispatch, and schedules see the same
-        # invocation sequence in every worker mode.
+        # pre-charge and pre-dispatch.
         for index in range(len(shard_keys)):
             if retry is None:
                 faults.check("shard.build")
@@ -196,16 +179,6 @@ def build_shard_releases(
                     lambda: faults.check("shard.build"),
                     describe=f"build shard {index}",
                 )
-
-    def assemble(key: ReleaseKey, leaves) -> MaterializedRelease:
-        return MaterializedRelease(
-            leaves,
-            estimator=key.estimator,
-            epsilon=key.epsilon,
-            dataset_fingerprint=key.dataset_fingerprint,
-            branching=key.branching,
-            seed=key.seed,
-        )
 
     def build_one(index: int) -> MaterializedRelease:
         key = shard_keys[index]
@@ -226,31 +199,18 @@ def build_shard_releases(
             ).inc()
         else:
             leaves = compute_release_leaves(shard_counts[index], key, delta=delta)
-        return assemble(key, leaves)
+        return MaterializedRelease(
+            leaves,
+            estimator=key.estimator,
+            epsilon=key.epsilon,
+            dataset_fingerprint=key.dataset_fingerprint,
+            branching=key.branching,
+            seed=key.seed,
+        )
 
     if workers <= 1 or len(shard_keys) <= 1:
         return [build_one(i) for i in range(len(shard_keys))]
-
-    specs = [
-        ShardBuildSpec(shard_counts[i], shard_keys[i], delta)
-        for i in range(len(shard_keys))
-    ]
-    outcomes = run_shard_builds(specs, workers=workers, mode=mode)
-    if obs.enabled():
-        registry = obs.registry()
-        build_seconds = registry.histogram(
-            "repro_shard_build_seconds", "Per-shard release build latency"
-        )
-        builds_total = registry.counter(
-            "repro_shard_builds_total", "Individual shard releases built"
-        )
-        for outcome in outcomes:
-            build_seconds.observe(outcome.seconds)
-            builds_total.inc()
-    return [
-        assemble(key, outcome.leaves)
-        for key, outcome in zip(shard_keys, outcomes)
-    ]
+    return run_shard_builds(build_one, len(shard_keys), workers=workers)
 
 
 class ShardedHistogramEngine:
@@ -270,16 +230,10 @@ class ShardedHistogramEngine:
         The partition geometry — at most one of the three; the default
         is :data:`~repro.sharding.plan.DEFAULT_SHARD_SIZE`-wide shards.
     workers:
-        Worker-pool width for parallel shard builds (default: one per
+        Thread-pool width for parallel shard builds (default: one per
         *available* CPU core — affinity/cgroup aware — capped at the
-        shard count).
-    worker_mode:
-        ``"thread"``, ``"process"``, or ``"auto"`` (default): how
-        parallel builds execute.  Only the process pool scales past one
-        core (the build kernels hold the GIL); ``"auto"`` picks it when
-        ``workers > 1`` and shards are wide enough that kernel time
-        dominates the pickle/IPC cost.  Bit-identity of releases and ε
-        accounting are mode-independent.
+        shard count).  Releases and ε accounting are bit-identical at
+        every width.
     cache / cache_capacity / store:
         As for :class:`~repro.serving.engine.HistogramEngine`; the
         default private cache is sized to hold at least two full shard
@@ -306,7 +260,6 @@ class ShardedHistogramEngine:
         shard_size: int | None = None,
         plan: ShardPlan | None = None,
         workers: int | None = None,
-        worker_mode: str = "auto",
         cache: ReleaseCache | None = None,
         cache_capacity: int | None = None,
         store: ReleaseStore | None = None,
@@ -330,11 +283,6 @@ class ShardedHistogramEngine:
             counts.size, num_shards=num_shards, shard_size=shard_size, plan=plan
         )
         self.workers = resolve_workers(workers, self.plan.num_shards)
-        self.worker_mode = resolve_worker_mode(
-            worker_mode,
-            workers=self.workers,
-            shard_width=int(self.plan.sizes.max()),
-        )
         self.retry = retry
         if budget is not None:
             if total_epsilon is not None:
@@ -510,7 +458,6 @@ class ShardedHistogramEngine:
                             [keys[s] for s in cold],
                             delta=self._budget.total.delta,
                             workers=self.workers,
-                            worker_mode=self.worker_mode,
                             retry=self.retry,
                         )
                 else:
@@ -519,7 +466,6 @@ class ShardedHistogramEngine:
                         [keys[s] for s in cold],
                         delta=self._budget.total.delta,
                         workers=self.workers,
-                        worker_mode=self.worker_mode,
                         retry=self.retry,
                     )
                 # One ε for the whole sharded release, by parallel
@@ -593,7 +539,7 @@ class ShardedHistogramEngine:
 
         Variance composes across shard pieces exactly as counts do: each
         shard's model covers its local domain at its own ε, and a query's
-        variance is the sum over the pieces the router would answer from.
+        variance is the sum over its per-shard pieces.
         Homogeneous additive shard models collapse to one global model,
         making the reported variance independent of the shard count.
         """
@@ -669,6 +615,5 @@ class ShardedHistogramEngine:
         return (
             f"ShardedHistogramEngine(domain_size={self.domain_size}, "
             f"num_shards={self.num_shards}, workers={self.workers}, "
-            f"worker_mode={self.worker_mode!r}, "
             f"spent_epsilon={self.spent_epsilon:g})"
         )

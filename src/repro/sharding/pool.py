@@ -1,104 +1,41 @@
-"""Worker pools for parallel shard builds: thread, process, or auto.
+"""The shard-build thread pool.
 
 This module is the execution substrate under
-:func:`repro.sharding.engine.build_shard_releases`: it knows how to run
-a batch of pure, picklable shard-build tasks on a pool of workers and
-nothing else.  The engine keeps everything stateful — cache probes,
-store writes, the single ε charge, fault-point checks, and obs
-recording — on the parent side, so the pool can treat every task as a
-deterministic function ``(counts, key, delta) -> leaves`` that is safe
-to run anywhere, in any order, any number of times.
+:func:`repro.sharding.engine.build_shard_releases`: it runs ``build(i)``
+for every shard index on a ``ThreadPoolExecutor`` and knows nothing
+else.  The engine keeps everything stateful — cache probes, store
+writes, the single ε charge and the fault-point checks — on the calling
+thread, so a build is a deterministic function of its shard's
+``(counts, key, delta)`` that is safe to run on any thread, in any
+order.
 
-**Why a process mode at all.**  The hot kernels behind a shard build
-(H̄ bottom-up/top-down and block-merge PAVA) are pure Python + NumPy
-loops that hold the GIL, so a ``ThreadPoolExecutor`` can never deliver
-more than one core of build throughput: ``workers=8`` is bit-identical
-*in wall-clock* to ``workers=1``.  The process mode ships each chunk of
-:class:`ShardBuildSpec` tasks to a spawn-context
-``ProcessPoolExecutor`` and gets real cores — the paper's
-hierarchical-release construction parallelizes trivially over disjoint
-shards.
+**Why threads.**  The build kernels are NumPy passes over a shard's
+tree, which release the GIL for most of their run.  On a 2-CPU host a
+2²² H̄ build (64 shards of 2¹⁶, median of 7 runs) takes 0.99 s on one
+thread and 0.57 s on two, against 0.72 s on a pool of two worker
+processes, which also pickles every leaf vector back to the caller and
+re-imports the caller's script in each worker.
 
 **Contracts.**
 
-* *Bit-identity*: results are returned in spec order and are
-  deterministic functions of ``(counts, key, delta)``; worker count,
-  worker mode, chunking, and completion order cannot change a single
-  bit of any leaf vector.
-* *Fail-fast*: the first failing chunk cancels every not-yet-started
-  chunk (``wait(FIRST_EXCEPTION)`` + ``Future.cancel``) and the first
-  failure *in submission order* is re-raised — no queued build runs to
-  completion behind the error, and the raised error is deterministic
-  even when several chunks fail concurrently.
-* *Bare children*: spawn workers import the code fresh and therefore
-  see :mod:`repro.obs` and :mod:`repro.faults` in their default
-  **disabled** state.  That is the defined semantics, not an accident:
-  fault points are checked in the parent *before* dispatch and metrics
-  are recorded in the parent from the per-task durations every worker
-  returns, so enabling obs or arming faults in the parent never needs
-  to reach across the process boundary (and a worker can never consume
-  a fault schedule out of order).
-
-**Amortization.**  Spawning a process pool costs ~0.5–1 s, far more
-than one shard build; process executors are therefore cached per worker
-count for the life of the process (broken pools are evicted and
-rebuilt).  Thread executors are cheap and created per call.  Leaf
-vectors travel back to the parent pickled in contiguous chunks — a few
-large arrays per worker rather than thousands of tiny messages — which
-keeps IPC off the critical path.
+* *Bit-identity*: results come back in index order and each is a
+  deterministic function of its shard, so the worker count and the
+  completion order cannot change a single bit of any leaf vector.
+* *Fail-fast*: the first failing build cancels every build not yet
+  started, and the failure earliest *in submission order* is re-raised —
+  no queued build runs to completion behind the error, and the raised
+  error is deterministic even when several builds fail concurrently.
+* *Telemetry*: builds run in this process, so each one records its own
+  ``shard.build`` span and ``repro_shard_build_seconds`` observation,
+  whatever the worker count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from multiprocessing import get_context
-from time import perf_counter
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-import numpy as np
-
-from repro import faults, obs
-from repro.exceptions import ReproError
-from repro.serving.engine import compute_release_leaves
-from repro.serving.release import ReleaseKey
-
-__all__ = [
-    "WORKER_MODES",
-    "PROCESS_MODE_MIN_SHARD_WIDTH",
-    "CHUNKS_PER_WORKER",
-    "ShardBuildSpec",
-    "ShardBuildOutcome",
-    "build_spec_chunk",
-    "chunk_slices",
-    "effective_cpu_count",
-    "resolve_worker_mode",
-    "run_shard_builds",
-    "shutdown_worker_pools",
-    "warm_worker_pool",
-]
-
-#: The accepted ``worker_mode`` values: ``"auto"`` resolves to one of
-#: the other two by :func:`resolve_worker_mode`.
-WORKER_MODES = ("auto", "thread", "process")
-
-#: ``"auto"`` picks the process pool only when shards are at least this
-#: wide.  Below it a shard builds in well under a millisecond and the
-#: pickle/IPC round-trip would dominate; above it the per-shard kernel
-#: time dwarfs the transfer cost and real cores win.
-PROCESS_MODE_MIN_SHARD_WIDTH = 1 << 14
-
-#: Specs are dispatched in ``min(len(specs), workers * CHUNKS_PER_WORKER)``
-#: contiguous chunks: enough slack that an unlucky slow chunk cannot
-#: serialize the pool, few enough that chunk overhead stays negligible.
-CHUNKS_PER_WORKER = 4
+__all__ = ["effective_cpu_count", "run_shard_builds", "shutdown_worker_pools"]
 
 
 def effective_cpu_count() -> int:
@@ -125,244 +62,32 @@ def effective_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_worker_mode(mode: str, *, workers: int, shard_width: int) -> str:
-    """Resolve a ``worker_mode`` knob to a concrete ``"thread"``/``"process"``.
+def run_shard_builds(build, count: int, *, workers: int) -> list:
+    """``[build(0), ..., build(count - 1)]`` computed on ``workers`` threads.
 
-    ``"auto"`` picks the process pool exactly when it can help: more
-    than one worker *and* shards at least
-    :data:`PROCESS_MODE_MIN_SHARD_WIDTH` wide (so kernel time, not
-    pickle time, dominates).  Everything else — explicit modes pass
-    through — resolves to the thread pool, whose only real use is
-    ``workers=1``-equivalent dispatch and tiny-shard smoke runs.
+    The executor lives for one call: threads start in microseconds, so
+    there is no pool to cache, warm or shut down.
     """
-    if mode not in WORKER_MODES:
-        raise ReproError(
-            f"worker_mode must be one of {WORKER_MODES}, got {mode!r}"
-        )
-    if mode != "auto":
-        return mode
-    if workers > 1 and shard_width >= PROCESS_MODE_MIN_SHARD_WIDTH:
-        return "process"
-    return "thread"
-
-
-@dataclass(frozen=True, eq=False)
-class ShardBuildSpec:
-    """One picklable shard-build task: ``(counts, key, delta) -> leaves``.
-
-    Carries everything :func:`~repro.serving.engine.compute_release_leaves`
-    needs and nothing else — no locks, no budgets, no caches — so a spec
-    can cross a spawn boundary and rebuild bit-identically anywhere.
-    """
-
-    counts: np.ndarray
-    key: ReleaseKey
-    delta: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ShardBuildOutcome:
-    """A finished build: the leaf vector plus the worker-side duration.
-
-    ``seconds`` is measured inside the worker around the kernel only
-    (pickle/IPC excluded), which is what the parent records into the
-    ``repro_shard_build_seconds`` histogram — the same quantity the
-    inline ``workers=1`` path times.
-    """
-
-    leaves: np.ndarray
-    seconds: float
-
-
-def build_spec_chunk(specs: list[ShardBuildSpec]) -> list[ShardBuildOutcome]:
-    """Build every spec in one worker invocation, in order.
-
-    This is the function a pool worker actually runs (top-level, so it
-    pickles by reference under spawn).  Pure computation: no fault
-    points, no obs, no ε — the parent owns all of that.
-    """
-    outcomes: list[ShardBuildOutcome] = []
-    for spec in specs:
-        start = perf_counter()
-        leaves = compute_release_leaves(spec.counts, spec.key, delta=spec.delta)
-        outcomes.append(ShardBuildOutcome(leaves, perf_counter() - start))
-    return outcomes
-
-
-def chunk_slices(count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous, balanced ``(start, stop)`` spans covering ``range(count)``.
-
-    At most ``workers * CHUNKS_PER_WORKER`` chunks, sized within one of
-    each other (the classic remainder-spread), in index order — so
-    chunk boundaries are a pure function of ``(count, workers)`` and
-    reassembly is just slice assignment.
-    """
-    if count <= 0:
-        return []
-    chunks = min(count, max(1, workers) * CHUNKS_PER_WORKER)
-    base, extra = divmod(count, chunks)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for index in range(chunks):
-        stop = start + base + (1 if index < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
-
-
-class _ProcessPoolCache:
-    """Spawn-context process pools cached per worker count.
-
-    Pool startup (~0.5–1 s under spawn) costs two orders of magnitude
-    more than a typical shard build, so executors live for the process
-    lifetime and are reused across materializations, epochs, and
-    engines.  A broken pool (a worker died mid-task) is evicted so the
-    next request gets a fresh one.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pools: dict[int, ProcessPoolExecutor] = {}  # guarded-by: _lock
-
-    def get(self, workers: int) -> ProcessPoolExecutor:
-        """The cached pool for ``workers``, created on first use."""
-        with self._lock:
-            pool = self._pools.get(workers)
-            if pool is None:
-                # Spawn, never fork: forking a multi-threaded parent (the
-                # engines hold locks on other threads) deadlocks, and the
-                # fork default is deprecated for exactly this reason.
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=get_context("spawn")
-                )
-                self._pools[workers] = pool
-            return pool
-
-    def evict(self, workers: int) -> None:
-        """Drop (and shut down) the pool for ``workers``, if any."""
-        with self._lock:
-            pool = self._pools.pop(workers, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown_all(self) -> None:
-        """Shut down every cached pool (tests and interpreter teardown)."""
-        with self._lock:
-            pools, self._pools = list(self._pools.values()), {}
-        for pool in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-_PROCESS_POOLS = _ProcessPoolCache()
-
-
-def _process_executor(workers: int) -> ProcessPoolExecutor:
-    """The long-lived spawn pool for ``workers`` (cached; see cache docs)."""
-    return _PROCESS_POOLS.get(workers)
-
-
-def shutdown_worker_pools() -> None:
-    """Shut down every cached process pool.
-
-    Never required for correctness — executors clean up at interpreter
-    exit — but lets tests and long-lived hosts release worker processes
-    deterministically.
-    """
-    _PROCESS_POOLS.shutdown_all()
-
-
-def warm_worker_pool(workers: int) -> None:
-    """Pre-spawn the cached process pool for ``workers`` and wait for it.
-
-    Pool startup (interpreter spawn + imports per worker) is a one-time
-    cost the cache amortizes away in steady state; benchmarks call this
-    before timing so a sweep point measures build throughput, not the
-    first request's spawn latency.  A no-op for ``workers <= 1``.
-    """
-    if workers <= 1:
-        return
-    executor = _process_executor(workers)
-    futures = [
-        executor.submit(build_spec_chunk, []) for _ in range(workers)
-    ]
-    wait(futures)
-
-
-def _dispatch(executor, chunks, spans, total) -> list[ShardBuildOutcome]:
-    """Fan chunks out on ``executor``; fail fast; reassemble in order.
-
-    On the first chunk failure every not-yet-started chunk is cancelled
-    and the earliest failure *in submission order* is raised, so the
-    surfaced error is deterministic even when several chunks fail in
-    the same round.
-    """
-    futures = [executor.submit(build_spec_chunk, chunk) for chunk in chunks]
-    try:
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            if future.done() and not future.cancelled():
-                error = future.exception()
-                if error is not None:
-                    raise error
-        outcomes: list[ShardBuildOutcome | None] = [None] * total
-        for (start, stop), future in zip(spans, futures):
-            outcomes[start:stop] = future.result()
-        return outcomes
-    finally:
-        # Reached with pending futures only on the failure path (wait()
-        # returns with every future done on success, where cancel() is a
-        # no-op): this is the fail-fast half of the contract.
-        for future in futures:
-            future.cancel()
-
-
-def run_shard_builds(
-    specs, *, workers: int = 1, mode: str = "thread"
-) -> list[ShardBuildOutcome]:
-    """Run every spec on a worker pool; outcomes come back in spec order.
-
-    ``mode`` must already be concrete (``"thread"`` or ``"process"`` —
-    callers resolve ``"auto"`` via :func:`resolve_worker_mode`).  With
-    one worker or one spec the pool is skipped entirely and the chunk
-    runs inline, which is also the reference semantics the pooled paths
-    must match bit-for-bit.
-    """
-    specs = list(specs)
-    if mode not in ("thread", "process"):
-        raise ReproError(
-            f"run_shard_builds needs a concrete mode ('thread' or "
-            f"'process'), got {mode!r}"
-        )
-    if workers < 1:
-        raise ReproError(f"workers must be >= 1, got {workers}")
-    if workers <= 1 or len(specs) <= 1:
-        return build_spec_chunk(specs)
-    spans = chunk_slices(len(specs), workers)
-    chunks = [specs[start:stop] for start, stop in spans]
-    if mode == "process":
-        try:
-            return _dispatch(_process_executor(workers), chunks, spans, len(specs))
-        except BrokenProcessPool:
-            _PROCESS_POOLS.evict(workers)
-            raise
     executor = ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="shard-build"
     )
     try:
-        return _dispatch(executor, chunks, spans, len(specs))
+        futures = [executor.submit(build, index) for index in range(count)]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
+        # After a failure this cancels every build not yet started and
+        # waits for the running ones; after success every future is
+        # already done and the cancel is a no-op.
         executor.shutdown(wait=True, cancel_futures=True)
+    # Threads take builds in submission order, so every cancelled build
+    # comes after every started one: reading results in order re-raises
+    # the earliest failure before it could reach a cancelled future.
+    return [future.result() for future in futures]
 
 
-def _worker_runtime_state() -> dict:
-    """What a worker process sees of the parent's module state.
+def shutdown_worker_pools() -> None:
+    """Release the build pool's workers: a no-op.
 
-    Submitted to a pool by the test suite to pin down the bare-child
-    contract: spawn children report ``faults``/``obs`` disabled and a
-    pid distinct from the parent's, whatever the parent has enabled.
+    Shard builds hold no threads or processes between calls, so there is
+    never anything to release; hosts may still call this on shutdown.
     """
-    return {
-        "pid": os.getpid(),
-        "faults_enabled": faults.enabled(),
-        "obs_enabled": obs.enabled(),
-    }

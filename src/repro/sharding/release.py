@@ -16,8 +16,7 @@ serving index once:
   shard baked in.  A full shard's mass therefore costs O(1) (it lives in
   the offsets), and a partial shard is one gather into its own view;
 * the **boundary prefix** (global prefix at the shard boundaries) is the
-  O(k) table of cumulated shard totals the router uses for full-shard
-  spans in the stitched/distributed answering mode.
+  O(k) table of cumulated shard totals.
 
 The sharded release is post-processing of its shards (Proposition 2):
 assembling, persisting, or re-assembling it never touches the private

@@ -77,7 +77,6 @@ from repro.sharding.engine import (
 )
 from repro.sharding.lineage import ShardedLineage, ShardEpochRecord
 from repro.sharding.plan import ShardPlan, resolve_plan
-from repro.sharding.pool import resolve_worker_mode
 from repro.sharding.release import ShardedRelease
 from repro.sharding.router import ShardRouter
 from repro.streaming.buffer import IngestBuffer
@@ -109,12 +108,11 @@ class ShardedStreamingEngine:
     num_shards / shard_size / plan:
         Partition geometry, as for
         :class:`~repro.sharding.engine.ShardedHistogramEngine`.
-    estimator / branching / seed / workers / worker_mode / store /
-    cache / name / build_first_epoch:
+    estimator / branching / seed / workers / store / cache / name /
+    build_first_epoch:
         As for the monolithic streaming engine / sharded serving engine.
-        Epoch 0 (when built) refreshes every shard; ``worker_mode``
-        selects how refresh builds execute (thread/process/auto), with
-        epoch releases bit-identical in every mode.
+        Epoch 0 (when built) refreshes every shard; epoch releases are
+        bit-identical at every worker count.
     retry / breaker:
         As for the monolithic streaming engine: the retry policy wraps
         per-shard builds and lineage persists (never an ε charge), and
@@ -154,7 +152,6 @@ class ShardedStreamingEngine:
         seed: int = 0,
         delta: float = 0.0,
         workers: int | None = None,
-        worker_mode: str = "auto",
         store: ReleaseStore | None = None,
         cache: ReleaseCache | None = None,
         cache_capacity: int | None = None,
@@ -195,11 +192,6 @@ class ShardedStreamingEngine:
             counts.size, num_shards=num_shards, shard_size=shard_size, plan=plan
         )
         self.workers = resolve_workers(workers, self.plan.num_shards)
-        self.worker_mode = resolve_worker_mode(
-            worker_mode,
-            workers=self.workers,
-            shard_width=int(self.plan.sizes.max()),
-        )
         self.cache = resolve_shard_cache(
             cache, store, cache_capacity, self.plan.num_shards
         )
@@ -527,7 +519,6 @@ class ShardedStreamingEngine:
                         keys,
                         delta=self._budget.total.delta,
                         workers=self.workers,
-                        worker_mode=self.worker_mode,
                         retry=self.retry,
                     )
                 registry = obs.registry()
@@ -546,7 +537,6 @@ class ShardedStreamingEngine:
                     keys,
                     delta=self._budget.total.delta,
                     workers=self.workers,
-                    worker_mode=self.worker_mode,
                     retry=self.retry,
                 )
         except BaseException:

@@ -16,10 +16,7 @@ the rank table below *is* the architecture (see
     8  repro.obs, repro.accuracy         (cross-cutting telemetry; the
                                           accuracy control plane's
                                           uncertainty models and SLOs)
-    9  repro.serving,
-       repro.sharding.pool               (engines, cache, store, fleet;
-                                          the shard-build worker pool —
-                                          a leaf carved out of sharding)
+    9  repro.serving                     (engines, cache, store, fleet)
     10 repro.streaming                   (epoch refresh)
     11 repro.sharding                    (massive-domain sharding)
     12 repro.cli, repro.statan, repro    (entry points / whole-package)
@@ -63,11 +60,6 @@ LAYER_RANKS: dict[str, int] = {
     # tier but never importing back up into them.
     "repro.accuracy": 8,
     "repro.serving": 9,
-    # The shard-build worker pool is a leaf under the sharding engines:
-    # it may reach serving's pure kernels (and the obs/faults leaves)
-    # but never back up into sharding's stateful tiers — longest-prefix
-    # match carves it out of the repro.sharding rank.
-    "repro.sharding.pool": 9,
     "repro.streaming": 10,
     "repro.sharding": 11,
     "repro.cli": 12,

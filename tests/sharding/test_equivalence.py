@@ -7,11 +7,13 @@ Two contracts, both exact:
   float coincidence but the accounting design: the disjoint shards
   compose in parallel, so the engine charges the one ε value once,
   never a per-shard split that would have to re-sum to it.
-* **answer equivalence** — the router's stitched answers over the
+* **answer equivalence** — the router's answers over the assembled
   per-shard releases are *bit-identical* to a monolithic
   :class:`MaterializedRelease` over the same leaves (the same seed
   schedule builds the same shards; the assembled index is the same
-  ``cumsum``), on 1k random ranges per configuration.
+  ``cumsum``), on 1k random ranges per configuration, and the
+  piece-by-piece distributed answer (:mod:`stitched_oracle`) agrees up
+  to float summation order.
 
 Run standalone with ``pytest -m equivalence``.
 """
@@ -26,6 +28,7 @@ from repro.serving.planner import QueryBatch
 from repro.serving.release import MaterializedRelease
 from repro.sharding.engine import ShardedHistogramEngine
 from repro.sharding.router import ShardRouter
+from stitched_oracle import answer_stitched
 
 pytestmark = pytest.mark.equivalence
 
@@ -77,7 +80,7 @@ def test_router_answers_bit_identical_to_monolithic_release(
     # The distributed stitching (per-shard partial sums + O(1) totals)
     # differs only by float summation order.
     np.testing.assert_allclose(
-        router.answer_stitched(release, batch), reference, rtol=1e-12, atol=1e-9
+        answer_stitched(release, batch), reference, rtol=1e-12, atol=1e-9
     )
 
 

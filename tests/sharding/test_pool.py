@@ -1,16 +1,23 @@
-"""The shard-build worker pool: sizing, mode selection, dispatch, fail-fast.
+"""The shard-build thread pool: sizing, ordering, fail-fast, telemetry.
 
-Covers :mod:`repro.sharding.pool` directly plus the two pool-shaped
-engine contracts that motivated it: the default worker count comes from
-the *effective* CPU budget (affinity/cgroup aware, not raw
-``os.cpu_count()``), and a shard failure cancels pending builds instead
-of letting the queue run to completion behind the raised error.
+Covers :mod:`repro.sharding.pool` directly plus the pool-shaped engine
+contracts: the default worker count comes from the *effective* CPU
+budget (affinity/cgroup aware, not raw ``os.cpu_count()``), a shard
+failure cancels pending builds instead of letting the queue run to
+completion behind the raised error, every pooled build records its own
+``shard.build`` span, and a default engine runs in a script that has no
+``if __name__ == "__main__"`` guard.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,40 +25,37 @@ import pytest
 from repro import faults, obs
 from repro.exceptions import ReproError
 from repro.faults.injector import FailNth, FaultError
+from repro.serving.engine import compute_release_leaves
 from repro.serving.release import ReleaseKey, fingerprint_counts
 from repro.sharding import pool
 from repro.sharding.engine import (
     ShardedHistogramEngine,
+    build_shard_releases,
     derive_shard_seed,
     resolve_workers,
 )
-from repro.sharding.pool import (
-    PROCESS_MODE_MIN_SHARD_WIDTH,
-    ShardBuildSpec,
-    build_spec_chunk,
-    chunk_slices,
-    effective_cpu_count,
-    resolve_worker_mode,
-    run_shard_builds,
-    shutdown_worker_pools,
-    warm_worker_pool,
-)
+from repro.sharding.pool import effective_cpu_count, run_shard_builds
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def make_specs(num_shards: int = 6, width: int = 64, seed: int = 0):
+def make_shards(num_shards: int = 6, width: int = 64, seed: int = 0):
+    """``(counts, keys)`` for ``num_shards`` independent shard builds."""
     rng = np.random.default_rng(seed)
-    specs = []
+    counts, keys = [], []
     for s in range(num_shards):
-        counts = rng.poisson(4.0, size=width).astype(float)
-        key = ReleaseKey(
-            dataset_fingerprint=fingerprint_counts(counts),
-            estimator="constrained",
-            epsilon=0.1,
-            branching=2,
-            seed=derive_shard_seed(11, s),
+        shard = rng.poisson(4.0, size=width).astype(float)
+        counts.append(shard)
+        keys.append(
+            ReleaseKey(
+                dataset_fingerprint=fingerprint_counts(shard),
+                estimator="constrained",
+                epsilon=0.1,
+                branching=2,
+                seed=derive_shard_seed(11, s),
+            )
         )
-        specs.append(ShardBuildSpec(counts, key, 0.0))
-    return specs
+    return counts, keys
 
 
 class TestEffectiveCpuCount:
@@ -99,162 +103,149 @@ class TestResolveWorkersAffinity:
             resolve_workers(0, num_shards=2)
 
 
-class TestResolveWorkerMode:
-    def test_rejects_unknown_modes(self):
-        with pytest.raises(ReproError, match="worker_mode"):
-            resolve_worker_mode("fork", workers=2, shard_width=1 << 16)
-
-    def test_explicit_modes_pass_through(self):
-        for mode in ("thread", "process"):
-            assert resolve_worker_mode(mode, workers=1, shard_width=1) == mode
-
-    def test_auto_is_thread_for_single_worker(self):
-        assert (
-            resolve_worker_mode("auto", workers=1, shard_width=1 << 20)
-            == "thread"
-        )
-
-    def test_auto_is_thread_for_narrow_shards(self):
-        assert (
-            resolve_worker_mode(
-                "auto", workers=8, shard_width=PROCESS_MODE_MIN_SHARD_WIDTH - 1
-            )
-            == "thread"
-        )
-
-    def test_auto_is_process_for_wide_parallel_builds(self):
-        assert (
-            resolve_worker_mode(
-                "auto", workers=2, shard_width=PROCESS_MODE_MIN_SHARD_WIDTH
-            )
-            == "process"
-        )
-
-
-class TestChunking:
-    def test_covers_range_in_order_and_balanced(self):
-        spans = chunk_slices(10, 3)
-        flat = [i for start, stop in spans for i in range(start, stop)]
-        assert flat == list(range(10))
-        sizes = [stop - start for start, stop in spans]
-        assert max(sizes) - min(sizes) <= 1
-        assert len(spans) <= 3 * pool.CHUNKS_PER_WORKER
-
-    def test_small_counts_one_chunk_each(self):
-        assert chunk_slices(3, 8) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_empty(self):
-        assert chunk_slices(0, 4) == []
-
-
 class TestRunShardBuilds:
-    def test_rejects_unresolved_mode_and_bad_workers(self):
-        specs = make_specs(2)
-        with pytest.raises(ReproError, match="concrete mode"):
-            run_shard_builds(specs, workers=2, mode="auto")
-        with pytest.raises(ReproError, match="workers"):
-            run_shard_builds(specs, workers=0, mode="thread")
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_results_come_back_in_index_order(self, workers):
+        # Later indexes finish first; the result list is still in index
+        # order, so reassembly never depends on completion order.
+        def build(index):
+            time.sleep(0.01 * (5 - index))
+            return index
 
-    def test_serial_fallback_matches_direct_chunk(self):
-        specs = make_specs(4)
-        serial = run_shard_builds(specs, workers=1, mode="thread")
-        direct = build_spec_chunk(specs)
-        for a, b in zip(serial, direct):
-            assert np.array_equal(a.leaves, b.leaves)
-            assert a.seconds >= 0.0
+        assert run_shard_builds(build, 6, workers=workers) == list(range(6))
+        assert run_shard_builds(build, 0, workers=workers) == []
 
     def test_thread_pool_bit_identical_to_serial(self):
-        specs = make_specs(7, seed=1)
-        serial = run_shard_builds(specs, workers=1, mode="thread")
-        pooled = run_shard_builds(specs, workers=3, mode="thread")
-        assert len(pooled) == len(specs)
-        for a, b in zip(pooled, serial):
-            assert np.array_equal(a.leaves, b.leaves)
+        counts, keys = make_shards(7, seed=1)
 
-    def test_process_pool_bit_identical_to_serial(self):
-        specs = make_specs(5, seed=2)
-        serial = run_shard_builds(specs, workers=1, mode="thread")
-        pooled = run_shard_builds(specs, workers=2, mode="process")
-        assert len(pooled) == len(specs)
-        for a, b in zip(pooled, serial):
-            assert np.array_equal(a.leaves, b.leaves)
+        def build(index):
+            return compute_release_leaves(counts[index], keys[index])
 
-    def test_first_failure_cancels_pending_chunks(self, monkeypatch):
-        # 12 specs on 2 workers dispatch as 8 chunks; the first chunk
-        # fails immediately while any concurrently running chunk sleeps.
-        # Fail-fast means the queued remainder is cancelled: far fewer
-        # chunk executions than the 8 the old pool.map semantics ran.
-        specs = make_specs(12, seed=3)
+        serial = [build(index) for index in range(len(keys))]
+        pooled = run_shard_builds(build, len(keys), workers=3)
+        assert len(pooled) == len(keys)
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
+    def test_builds_run_on_pool_threads(self):
+        names = run_shard_builds(
+            lambda index: threading.current_thread().name, 4, workers=2
+        )
+        assert all(name.startswith("shard-build") for name in names)
+
+    def test_first_failure_cancels_pending_builds(self):
+        # 12 builds on 2 workers; build 0 fails immediately while any
+        # concurrently running build sleeps.  Fail-fast means the queued
+        # remainder is cancelled rather than run behind the error.
         calls = []
-        real = build_spec_chunk
 
-        def instrumented(chunk):
-            calls.append(len(chunk))
-            if any(spec is specs[0] for spec in chunk):
+        def build(index):
+            calls.append(index)
+            if index == 0:
                 raise ValueError("boom")
             time.sleep(0.05)
-            return real(chunk)
+            return index
 
-        monkeypatch.setattr(pool, "build_spec_chunk", instrumented)
         with pytest.raises(ValueError, match="boom"):
-            run_shard_builds(specs, workers=2, mode="thread")
-        # The failing chunk plus at most one in-flight chunk per worker.
+            run_shard_builds(build, 12, workers=2)
+        # The failing build plus at most one in-flight build per worker.
         assert len(calls) <= 3
 
-    def test_submission_order_failure_wins(self, monkeypatch):
-        # Two chunks fail in the same round; the earlier one (in
-        # submission order) must be the error that surfaces, so failure
+    def test_submission_order_failure_wins(self):
+        # Builds 0 and 1 both fail, build 1 first; the earlier one in
+        # submission order must be the error that surfaces, so failure
         # reporting is deterministic under completion-order shuffles.
-        specs = make_specs(8, seed=4)
-        spans = chunk_slices(len(specs), 2)
+        def build(index):
+            if index == 0:
+                time.sleep(0.05)
+            raise ValueError(f"build-{index}")
 
-        def instrumented(chunk):
-            for index, (start, stop) in enumerate(spans):
-                if len(chunk) == stop - start and chunk[0] is specs[start]:
-                    raise ValueError(f"chunk-{index}")
-            raise AssertionError("unknown chunk")
+        with pytest.raises(ValueError, match="build-0"):
+            run_shard_builds(build, 8, workers=2)
 
-        monkeypatch.setattr(pool, "build_spec_chunk", instrumented)
-        with pytest.raises(ValueError, match="chunk-0"):
-            run_shard_builds(specs, workers=2, mode="thread")
+    def test_shutdown_worker_pools_is_a_safe_no_op(self):
+        pool.shutdown_worker_pools()
+        pool.shutdown_worker_pools()
+        assert run_shard_builds(lambda index: index, 3, workers=2) == [0, 1, 2]
 
 
-class TestProcessBoundarySemantics:
-    def test_children_are_bare_whatever_the_parent_enables(self):
-        # The defined semantics of module state across the process
-        # boundary: spawn children import fresh modules and see obs and
-        # faults disabled, even while the parent has both live.
-        with obs.session():
-            with faults.session({}):
-                assert obs.enabled() and faults.enabled()
-                executor = pool._process_executor(2)
-                state = executor.submit(pool._worker_runtime_state).result()
-        assert state["obs_enabled"] is False
-        assert state["faults_enabled"] is False
-        assert state["pid"] != os.getpid()
+class TestPooledTelemetry:
+    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
+    def test_every_shard_build_records_a_span_and_an_observation(self, workers):
+        counts, keys = make_shards(5, seed=6)
+        with obs.session() as (registry, tracer):
+            build_shard_releases(counts, keys, workers=workers)
+            spans = tracer.events("shard.build")
+            seconds = registry.histogram(
+                "repro_shard_build_seconds", "Per-shard release build latency"
+            )
+            builds = registry.counter(
+                "repro_shard_builds_total", "Individual shard releases built"
+            )
+            assert sorted(span.attributes["shard"] for span in spans) == list(
+                range(len(keys))
+            )
+            assert seconds.count() == len(keys)
+            assert builds.value() == len(keys)
 
-    def test_warm_and_shutdown_are_safe_to_repeat(self):
-        warm_worker_pool(1)  # no-op
-        warm_worker_pool(2)
-        run = run_shard_builds(make_specs(3), workers=2, mode="process")
-        assert len(run) == 3
-        shutdown_worker_pools()
-        shutdown_worker_pools()  # idempotent
-        # A fresh pool is created transparently after a shutdown.
-        again = run_shard_builds(make_specs(3), workers=2, mode="process")
-        for a, b in zip(again, run):
-            assert np.array_equal(a.leaves, b.leaves)
+    def test_concurrent_recording_loses_no_update(self):
+        # More threads than cores and a tiny switch interval: a lost
+        # read-modify-write in the shared registry or tracer would show
+        # as fewer than one span, observation and count per shard.
+        counts, keys = make_shards(48, width=16, seed=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.session() as (registry, tracer):
+                build_shard_releases(counts, keys, workers=8)
+                assert len(tracer.events("shard.build")) == len(keys)
+                assert registry.value("repro_shard_builds_total") == len(keys)
+                assert registry.histogram(
+                    "repro_shard_build_seconds", "Per-shard release build latency"
+                ).count() == len(keys)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestUnguardedScript:
+    def test_default_engine_runs_without_a_main_guard(self, tmp_path):
+        # A script with no ``if __name__ == "__main__"`` guard builds a
+        # default-configured engine over two 2**14-wide shards: the build
+        # must not re-import the script or need the guard.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import numpy as np
+                from repro.sharding import ShardedHistogramEngine
+
+                counts = np.random.default_rng(0).poisson(3.0, size=1 << 15)
+                engine = ShardedHistogramEngine(counts, 1.0, shard_size=1 << 14)
+                release = engine.materialize("constrained", epsilon=0.5, seed=1)
+                print("release", release.num_shards, engine.spent_epsilon)
+                """
+            )
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["release", "2", "0.5"]
 
 
 class TestEngineFailFast:
-    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    def test_no_build_dispatched_after_shard_fault(
-        self, monkeypatch, worker_mode
-    ):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_no_build_dispatched_after_shard_fault(self, monkeypatch, workers):
         """The counting-double fail-fast contract: an injected failure at
         shard 3 of 8 stops the fault sequence at exactly 3 invocations
         and dispatches zero kernel builds — nothing runs to completion
-        behind the error, in any worker mode — and charges zero ε."""
+        behind the error, at any worker count — and charges zero ε."""
         counts = np.random.default_rng(5).poisson(3.0, size=512).astype(float)
         dispatched = []
 
@@ -262,13 +253,13 @@ class TestEngineFailFast:
 
         real = engine_module.run_shard_builds
 
-        def counting(specs, **kwargs):
-            dispatched.append(len(list(specs)))
-            return real(specs, **kwargs)
+        def counting(build, count, **kwargs):
+            dispatched.append(count)
+            return real(build, count, **kwargs)
 
         monkeypatch.setattr(engine_module, "run_shard_builds", counting)
         engine = ShardedHistogramEngine(
-            counts, 1.0, num_shards=8, workers=4, worker_mode=worker_mode
+            counts, 1.0, num_shards=8, workers=workers
         )
         with faults.session({"shard.build": FailNth(3)}) as injector:
             with pytest.raises(FaultError):

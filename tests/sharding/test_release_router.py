@@ -1,16 +1,22 @@
-"""Tests for the assembled sharded release and the shard router."""
+"""Tests for the assembled sharded release and the shard router.
+
+The router's answers are checked against the stitched, piece-by-piece
+distributed answer in :mod:`stitched_oracle`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.exceptions import QueryError, ReproError
 from repro.serving.planner import QueryBatch
 from repro.serving.release import MaterializedRelease
 from repro.sharding.plan import ShardPlan
 from repro.sharding.release import ShardedRelease
 from repro.sharding.router import ShardRouter
+from stitched_oracle import answer_stitched, decompose
 
 
 def shard_release(values, seed, epsilon=0.1) -> MaterializedRelease:
@@ -116,12 +122,23 @@ class TestRouterAnswers:
             router.answer(release, batch), mono.range_sums(batch.los, batch.his)
         )
 
+    def test_answer_counts_batches_and_gather_groups(self, sharded):
+        release, _ = sharded
+        # Shards are [0, 4), [4, 7), [7, 10): prefix positions 0, 3 and 5
+        # fall in shards 0, 0 and 1, so shard 2 is never gathered from.
+        batch = QueryBatch.from_pairs([(0, 2), (3, 4)])
+        with obs.session() as (registry, _):
+            answers = ShardRouter().answer(release, batch)
+            assert registry.value("repro_router_batches_total") == 1
+            assert registry.value("repro_router_gather_groups_total") == 2
+        assert np.array_equal(answers, release.range_sums(batch.los, batch.his))
+
     def test_stitched_matches_fast_path(self, sharded, rng):
         release, _ = sharded
         batch = QueryBatch.random(10, 500, rng=rng)
         router = ShardRouter()
         fast = router.answer(release, batch)
-        stitched = router.answer_stitched(release, batch)
+        stitched = answer_stitched(release, batch)
         np.testing.assert_allclose(stitched, fast, rtol=1e-12, atol=1e-9)
 
     def test_single_shard_and_whole_domain(self, rng):
@@ -141,7 +158,7 @@ class TestRouterAnswers:
         batch = QueryBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         router = ShardRouter()
         assert router.answer(release, batch).size == 0
-        assert router.answer_stitched(release, batch).size == 0
+        assert answer_stitched(release, batch).size == 0
 
     def test_out_of_domain_batch_rejected(self, sharded):
         release, _ = sharded
@@ -150,21 +167,21 @@ class TestRouterAnswers:
         with pytest.raises(QueryError, match="beyond"):
             router.answer(release, batch)
         with pytest.raises(QueryError, match="beyond"):
-            router.answer_stitched(release, batch)
+            answer_stitched(release, batch)
         with pytest.raises(QueryError, match="beyond"):
-            router.decompose(release.plan, batch)
+            decompose(release.plan, batch)
 
 
 class TestDecomposition:
     def test_interior_query_is_one_piece(self, sharded):
         release, _ = sharded
-        routed = ShardRouter().decompose(release.plan, QueryBatch.from_pairs([(4, 6)]))
+        routed = decompose(release.plan, QueryBatch.from_pairs([(4, 6)]))
         assert routed.num_pieces.tolist() == [1]
         assert routed.pieces(0) == [(1, 0, 2, "interior")]
 
     def test_spanning_query_pieces(self, sharded):
         release, _ = sharded
-        routed = ShardRouter().decompose(release.plan, QueryBatch.from_pairs([(2, 9)]))
+        routed = decompose(release.plan, QueryBatch.from_pairs([(2, 9)]))
         assert routed.num_pieces.tolist() == [3]
         assert routed.pieces(0) == [
             (0, 2, 3, "left-partial"),
@@ -179,7 +196,7 @@ class TestDecomposition:
         shards = [shard_release(leaves[plan.slice_of(s)], s) for s in range(7)]
         release = ShardedRelease(plan, shards, dataset_fingerprint="x")
         batch = QueryBatch.random(64, 200, rng=rng)
-        routed = ShardRouter().decompose(plan, batch)
+        routed = decompose(plan, batch)
         for i in range(len(batch)):
             covered = []
             for shard, lo, hi, kind in routed.pieces(i):
@@ -191,7 +208,7 @@ class TestDecomposition:
     def test_at_most_two_partial_pieces(self, rng):
         plan = ShardPlan.uniform(100, 10)
         batch = QueryBatch.random(100, 300, rng=rng)
-        routed = ShardRouter().decompose(plan, batch)
+        routed = decompose(plan, batch)
         for i in range(len(batch)):
             kinds = [kind for _, _, _, kind in routed.pieces(i)]
             partials = [k for k in kinds if k.endswith("-partial")]

@@ -1,10 +1,10 @@
 """Worker-pool equivalence suite: parallelism changes cost, never bits.
 
 The sharded engine's releases must be bit-identical — leaves, routed
-answers, and charged Σε — for every ``(workers, worker_mode)`` shape,
-with observability enabled (parent-side counters sum correctly in every
-mode) and under a seeded ``shard.build`` fault storm healed by retry
-(the chaos harness extended to the process pool).
+answers, and charged Σε — at every worker count, with observability
+enabled (per-shard counters sum correctly whatever thread ran the
+build) and under a seeded ``shard.build`` fault storm healed by retry
+(the chaos harness extended to the thread pool).
 
 Run standalone with ``pytest -m equivalence``.
 """
@@ -27,11 +27,7 @@ pytestmark = pytest.mark.equivalence
 
 NUM_SHARDS = 8
 EPSILON = 0.1
-WORKER_SHAPES = [
-    (workers, mode)
-    for workers in (1, 2, 4)
-    for mode in ("thread", "process")
-]
+WORKER_COUNTS = [1, 2, 4, 7]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +44,7 @@ def batch(counts) -> QueryBatch:
 def baseline(counts, batch):
     """The single-worker reference: leaves, routed answers, Σε."""
     engine = ShardedHistogramEngine(
-        counts, 1.0, num_shards=NUM_SHARDS, workers=1, worker_mode="thread"
+        counts, 1.0, num_shards=NUM_SHARDS, workers=1
     )
     release = engine.materialize("constrained", epsilon=EPSILON, seed=7)
     answers = ShardRouter().answer(release, batch)
@@ -59,12 +55,12 @@ def baseline(counts, batch):
     }
 
 
-@pytest.mark.parametrize("workers,worker_mode", WORKER_SHAPES)
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_release_bit_identical_across_pool_shapes(
-    counts, batch, baseline, workers, worker_mode
+    counts, batch, baseline, workers
 ):
     engine = ShardedHistogramEngine(
-        counts, 1.0, num_shards=NUM_SHARDS, workers=workers, worker_mode=worker_mode
+        counts, 1.0, num_shards=NUM_SHARDS, workers=workers
     )
     release = engine.materialize("constrained", epsilon=EPSILON, seed=7)
     assert np.array_equal(release.unit_counts(), baseline["leaves"])
@@ -76,17 +72,18 @@ def test_release_bit_identical_across_pool_shapes(
     assert len(engine.budget.history) == 1
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
-def test_obs_counters_sum_correctly_in_every_mode(
-    counts, batch, baseline, worker_mode
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_obs_counters_sum_correctly_at_every_worker_count(
+    counts, batch, baseline, workers
 ):
-    """Pooled builds report through the parent: whatever pool ran the
-    kernels, the shard-build counter totals exactly the shard count, the
-    latency histogram holds one observation per shard, and enabling obs
-    never perturbs a bit of the answers."""
-    with obs.session() as (registry, _):
+    """Every build reports from the thread that ran it: at any worker
+    count the shard-build counter totals exactly the shard count, the
+    latency histogram holds one observation per shard, there is one
+    ``shard.build`` span per shard, and enabling obs never perturbs a
+    bit of the answers."""
+    with obs.session() as (registry, tracer):
         engine = ShardedHistogramEngine(
-            counts, 1.0, num_shards=NUM_SHARDS, workers=2, worker_mode=worker_mode
+            counts, 1.0, num_shards=NUM_SHARDS, workers=workers
         )
         release = engine.materialize("constrained", epsilon=EPSILON, seed=7)
         answers = engine.submit(batch, "constrained", epsilon=EPSILON, seed=7)
@@ -99,19 +96,20 @@ def test_obs_counters_sum_correctly_in_every_mode(
         assert builds.value() == NUM_SHARDS
         assert build_seconds.count() == NUM_SHARDS
         assert build_seconds.sum() > 0.0
+        assert len(tracer.events("shard.build")) == NUM_SHARDS
     assert np.array_equal(release.unit_counts(), baseline["leaves"])
     assert np.array_equal(answers.answers, baseline["answers"])
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
-def test_fault_storm_heals_to_bit_exact_release_in_every_mode(
-    counts, baseline, worker_mode
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_fault_storm_heals_to_bit_exact_release_at_every_worker_count(
+    counts, baseline, workers
 ):
     """A seeded ``shard.build`` storm healed by retry leaves the release
-    bit-identical to the clean run in both worker modes, with the same
-    deterministic fault-invocation sequence — the checks run parent-side
-    in shard order before any dispatch, so schedules can never be
-    consumed out of order by pool scheduling."""
+    bit-identical to the clean run at every worker count, with the same
+    deterministic fault-invocation sequence — the checks run on the
+    calling thread in shard order before any dispatch, so schedules can
+    never be consumed out of order by pool scheduling."""
     retry = RetryPolicy(max_attempts=8, base_delay=0.0, jitter=0.0)
     with faults.session(
         {"shard.build": FailWithProbability(0.35, seed=5)}
@@ -120,8 +118,7 @@ def test_fault_storm_heals_to_bit_exact_release_in_every_mode(
             counts,
             1.0,
             num_shards=NUM_SHARDS,
-            workers=4,
-            worker_mode=worker_mode,
+            workers=workers,
             retry=retry,
         )
         release = engine.materialize("constrained", epsilon=EPSILON, seed=7)
@@ -130,17 +127,17 @@ def test_fault_storm_heals_to_bit_exact_release_in_every_mode(
     assert np.array_equal(release.unit_counts(), baseline["leaves"])
     assert engine.spent_epsilon == EPSILON
     # FailWithProbability(p, seed) consumes one rng draw per invocation,
-    # so equal invocation counts across modes mean the storm replayed
-    # identically wherever the kernels ran.
+    # so equal invocation counts across worker counts mean the storm
+    # replayed identically wherever the kernels ran.
     assert invocations == NUM_SHARDS + injected
 
 
-def test_streaming_epochs_bit_identical_across_modes(counts):
-    """Per-shard epoch refresh on the process pool equals the thread
-    pool: same epoch releases, same lineage Σε, bit for bit."""
+def test_streaming_epochs_bit_identical_across_worker_counts(counts):
+    """Per-shard epoch refresh on a wide pool equals the single-worker
+    run: same epoch releases, same lineage Σε, bit for bit."""
     batch = QueryBatch.random(counts.size, 200, rng=31)
 
-    def run(worker_mode, workers):
+    def run(workers):
         engine = ShardedStreamingEngine(
             counts.copy(),
             1.0,
@@ -149,7 +146,6 @@ def test_streaming_epochs_bit_identical_across_modes(counts):
             name="sweep",
             seed=3,
             workers=workers,
-            worker_mode=worker_mode,
         )
         first = engine.submit(batch)
         engine.ingest(np.full(64, 5))
@@ -157,12 +153,12 @@ def test_streaming_epochs_bit_identical_across_modes(counts):
         second = engine.submit(batch)
         return first, second, engine.spent_epsilon
 
-    ref_first, ref_second, ref_epsilon = run("thread", 1)
-    for worker_mode, workers in (("thread", 4), ("process", 2)):
-        got_first, got_second, got_epsilon = run(worker_mode, workers)
+    ref_first, ref_second, ref_epsilon = run(1)
+    for workers in WORKER_COUNTS[1:]:
+        got_first, got_second, got_epsilon = run(workers)
         assert np.array_equal(got_first.answers, ref_first.answers)
         assert np.array_equal(got_second.answers, ref_second.answers)
         assert got_second.epoch == ref_second.epoch == 1
-        # Bit-exact across modes (and equal to the schedule's own sum —
+        # Bit-exact across worker counts (and equal to the schedule's own sum —
         # ε₀ + ε₀·decay — spelled as floats compose, not a decimal).
         assert got_epsilon == ref_epsilon == 0.4 + 0.4 * 0.5

@@ -121,13 +121,12 @@ class TestCliLint:
 
 
 class TestWorkerPoolCoverage:
-    """The tooling carve-outs that police ``repro.sharding.pool``."""
+    """The tooling that polices ``repro.sharding.pool``."""
 
-    def test_pool_rank_is_carved_out_of_sharding(self):
-        # Longest-prefix match puts the worker-pool leaf beside serving
-        # (rank 9), below the stateful sharding engines it serves — so
-        # ARCH001 flags any pool -> sharding.engine import as upward.
-        assert rank_of("repro.sharding.pool") == 9
+    def test_pool_ranks_with_the_rest_of_sharding(self):
+        # The thread pool imports nothing from serving, so it needs no
+        # carve-out: longest-prefix match gives it the sharding rank.
+        assert rank_of("repro.sharding.pool") == 11
         assert rank_of("repro.sharding.engine") == 11
         assert rank_of("repro.sharding") == 11
         assert rank_of("repro.serving.engine") == 9
