@@ -641,12 +641,6 @@ def _cmd_advance_epoch(args: argparse.Namespace) -> int:
     raw = _read_pending_bytes(pending_path)
     pending = _parse_pending(raw, counts.size)
     if recovered:
-        if not pending.size:
-            # The re-run's purpose was completing the interrupted commit;
-            # building a zero-row epoch now would burn the next scheduled
-            # ε for no new data.
-            print("recovery complete; no pending rows, not advancing an epoch")
-            return 0
         # Recovery may have folded released rows into the counts; the
         # engine was constructed over the stale vector, so rebuild it
         # over the recovered one (warm resume, zero ε).
@@ -654,6 +648,11 @@ def _cmd_advance_epoch(args: argparse.Namespace) -> int:
     if pending.size:
         engine.ingest(pending)
     record = engine.advance_epoch()
+    if record is None:
+        # An epoch with nothing to fold builds and charges nothing, so
+        # there is no owner-side state to commit either.
+        print("no pending rows to fold: no epoch built, no ε charged")
+        return 0
     # Commit the owner-side state only after the epoch (and its lineage)
     # durably exists; a crash anywhere in this multi-file commit is
     # detected and completed by _recover_stream_state on the next run.

@@ -52,8 +52,13 @@ from repro.serving.store import ReleaseStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.faults.degrade import BreakerSnapshot
     from repro.sharding.engine import ShardedHistogramEngine
+    from repro.sharding.lineage import ShardEpochRecord
     from repro.sharding.streaming import ShardedStreamingEngine
-    from repro.streaming.engine import StreamBatchResult, StreamingHistogramEngine
+    from repro.streaming.engine import (
+        EpochStreamEngine,
+        StreamBatchResult,
+        StreamingHistogramEngine,
+    )
     from repro.streaming.lineage import EpochRecord
 
 __all__ = ["FleetStats", "EngineFleet"]
@@ -144,7 +149,7 @@ class EngineFleet:
             )
         self.cache = cache if cache is not None else ReleaseCache(cache_capacity, store=store)
         self._engines: dict[str, HistogramEngine] = {}
-        self._streams: dict[str, "StreamingHistogramEngine"] = {}
+        self._streams: dict[str, "EpochStreamEngine"] = {}
         #: names mid-registration: reserved before the (side-effecting)
         #: engine construction so a duplicate race fails before it can
         #: build anything — for streams that build epoch 0 and write a
@@ -173,14 +178,10 @@ class EngineFleet:
         existing name raises — budgets are load-bearing state that must
         not be silently replaced.
         """
-        if not name:
-            raise ReproError("a dataset name is required to register an engine")
-        duplicate = ReproError(
-            f"dataset {name!r} is already registered; unregister it first"
-        )
-        self._reserve(name, duplicate)
-        try:
-            engine = HistogramEngine(
+        return self._host(
+            name,
+            self._engines,
+            lambda: HistogramEngine(
                 data,
                 total_epsilon,
                 attribute=attribute,
@@ -188,29 +189,39 @@ class EngineFleet:
                 branching=branching,
                 cache=self.cache,
                 slo=slo,
-            )
-            with self._lock:
-                self._engines[name] = engine
-        finally:
-            with self._lock:
-                self._reserved.discard(name)
-        return engine
+            ),
+        )
 
-    def _reserve(self, name: str, duplicate: ReproError) -> None:
-        """Atomically claim ``name`` before any side-effecting construction.
+    def _host(self, name: str, tenants: dict, build):
+        """Register the tenant ``build()`` constructs under ``name``.
 
-        Checked against live engines, live streams, and in-flight
-        registrations, so two racing register calls cannot both start
-        building (and, for streams, both charge ε / write the lineage).
+        The name is claimed atomically *before* the side-effecting
+        construction — checked against live engines, live streams, and
+        in-flight registrations — so two racing register calls cannot
+        both start building (and, for streams, both charge ε / write the
+        lineage).  The tenant is published into ``tenants`` only once
+        ``build()`` succeeds.
         """
+        if not name:
+            raise ReproError("a dataset name is required to register a tenant")
         with self._lock:
             if (
                 name in self._engines
                 or name in self._streams
                 or name in self._reserved
             ):
-                raise duplicate
+                raise ReproError(
+                    f"dataset {name!r} is already registered; unregister it first"
+                )
             self._reserved.add(name)
+        try:
+            tenant = build()
+            with self._lock:
+                tenants[name] = tenant
+        finally:
+            with self._lock:
+                self._reserved.discard(name)
+        return tenant
 
     def register_sharded(
         self,
@@ -237,14 +248,10 @@ class EngineFleet:
         """
         from repro.sharding.engine import ShardedHistogramEngine
 
-        if not name:
-            raise ReproError("a dataset name is required to register an engine")
-        duplicate = ReproError(
-            f"dataset {name!r} is already registered; unregister it first"
-        )
-        self._reserve(name, duplicate)
-        try:
-            engine = ShardedHistogramEngine(
+        return self._host(
+            name,
+            self._engines,
+            lambda: ShardedHistogramEngine(
                 data,
                 total_epsilon,
                 attribute=attribute,
@@ -255,13 +262,8 @@ class EngineFleet:
                 workers=workers,
                 cache=self.cache,
                 slo=slo,
-            )
-            with self._lock:
-                self._engines[name] = engine
-        finally:
-            with self._lock:
-                self._reserved.discard(name)
-        return engine
+            ),
+        )
 
     def register_stream(
         self,
@@ -288,14 +290,10 @@ class EngineFleet:
         """
         from repro.streaming.engine import StreamingHistogramEngine
 
-        if not name:
-            raise ReproError("a dataset name is required to register a stream")
-        duplicate = ReproError(
-            f"dataset {name!r} is already registered; unregister it first"
-        )
-        self._reserve(name, duplicate)
-        try:
-            stream = StreamingHistogramEngine(
+        return self._host(
+            name,
+            self._streams,
+            lambda: StreamingHistogramEngine(
                 data,
                 total_epsilon,
                 schedule,
@@ -309,13 +307,8 @@ class EngineFleet:
                 name=name,
                 build_first_epoch=build_first_epoch,
                 slo=slo,
-            )
-            with self._lock:
-                self._streams[name] = stream
-        finally:
-            with self._lock:
-                self._reserved.discard(name)
-        return stream
+            ),
+        )
 
     def register_sharded_stream(
         self,
@@ -345,14 +338,10 @@ class EngineFleet:
         """
         from repro.sharding.streaming import ShardedStreamingEngine
 
-        if not name:
-            raise ReproError("a dataset name is required to register a stream")
-        duplicate = ReproError(
-            f"dataset {name!r} is already registered; unregister it first"
-        )
-        self._reserve(name, duplicate)
-        try:
-            stream = ShardedStreamingEngine(
+        return self._host(
+            name,
+            self._streams,
+            lambda: ShardedStreamingEngine(
                 data,
                 total_epsilon,
                 schedule,
@@ -369,13 +358,8 @@ class EngineFleet:
                 name=name,
                 build_first_epoch=build_first_epoch,
                 slo=slo,
-            )
-            with self._lock:
-                self._streams[name] = stream
-        finally:
-            with self._lock:
-                self._reserved.discard(name)
-        return stream
+            ),
+        )
 
     def unregister(self, name: str) -> None:
         """Drop the engine or stream for ``name`` (cached artifacts remain)."""
@@ -397,7 +381,7 @@ class EngineFleet:
             )
         return engine
 
-    def stream(self, name: str) -> "StreamingHistogramEngine":
+    def stream(self, name: str) -> "EpochStreamEngine":
         """The streaming tenant named ``name``; raises for unknown streams."""
         with self._lock:
             stream = self._streams.get(name)
@@ -461,8 +445,10 @@ class EngineFleet:
         """Ingest rows into the stream named ``stream`` (routing by name)."""
         return self.stream(stream).ingest(indexes)
 
-    def advance_epoch(self, stream: str) -> "EpochRecord":
-        """Advance the named stream one epoch synchronously."""
+    def advance_epoch(
+        self, stream: str
+    ) -> "EpochRecord | ShardEpochRecord | None":
+        """Advance the named stream one epoch; ``None`` if it had nothing to fold."""
         return self.stream(stream).advance_epoch()
 
     def submit_stream(self, stream: str, batch) -> "StreamBatchResult":

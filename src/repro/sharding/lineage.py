@@ -28,17 +28,11 @@ old standalone artifacts can never break a stream's warm restart.
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro import faults
-from repro.exceptions import LineageConflictError, ReleaseStoreError, ReproError
-from repro.faults.injector import CrashFault, FaultError
-from repro.faults.retry import RetryPolicy, run_with_retry
+from repro.exceptions import ReleaseStoreError, ReproError
 from repro.serving.release import ReleaseKey
-from repro.utils.io_atomic import atomic_write_json
+from repro.streaming.lineage import LineageLedger
 
 __all__ = ["ShardEpochRecord", "ShardedLineage", "SHARDED_LINEAGE_FORMAT_VERSION"]
 
@@ -94,125 +88,19 @@ class ShardEpochRecord:
             ) from error
 
 
-class ShardedLineage:
-    """An append-only, optionally file-backed sharded epoch ledger.
+class ShardedLineage(LineageLedger[ShardEpochRecord]):
+    """The sharded stream's ledger: one :class:`ShardEpochRecord` per epoch.
 
-    Mirrors :class:`~repro.streaming.lineage.EpochLineage`: epochs must
-    arrive contiguously, appends are atomic when file-backed, and a
-    failed persist rolls the in-memory append back.
+    The load, contiguity check, atomic persist and rollback are
+    :class:`~repro.streaming.lineage.LineageLedger`'s.
     """
 
-    def __init__(self, path=None, *, retry: RetryPolicy | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.retry = retry
-        self._lock = threading.Lock()
-        self._records: list[ShardEpochRecord] = []
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        try:
-            document = json.loads(self.path.read_text())
-        except (OSError, ValueError) as error:
-            raise ReleaseStoreError(
-                f"cannot read sharded epoch lineage {self.path}: {error}"
-            ) from error
-        version = document.get("sharded_lineage_format_version")
-        if not isinstance(version, int) or version > SHARDED_LINEAGE_FORMAT_VERSION:
-            raise ReleaseStoreError(
-                f"sharded epoch lineage {self.path} has format version "
-                f"{version!r}, newer than the supported "
-                f"{SHARDED_LINEAGE_FORMAT_VERSION}"
-            )
-        epochs = document.get("epochs")
-        if not isinstance(epochs, list):
-            raise ReleaseStoreError(
-                f"sharded epoch lineage {self.path} has no epoch list"
-            )
-        records = [ShardEpochRecord.from_json(entry) for entry in epochs]
-        for i, record in enumerate(records):
-            if record.epoch != i:
-                raise LineageConflictError(
-                    f"sharded epoch lineage {self.path} is not contiguous: "
-                    f"position {i} records epoch {record.epoch}"
-                )
-        self._records = records
-
-    def _persist(self) -> None:
-        document = {
-            "sharded_lineage_format_version": SHARDED_LINEAGE_FORMAT_VERSION,
-            "epochs": [record.to_json() for record in self._records],
-        }
-
-        def write() -> None:
-            if faults.enabled():
-                faults.check("lineage.append")
-            atomic_write_json(self.path, document)
-
-        if self.retry is None:
-            write()
-        else:
-            run_with_retry(
-                self.retry, write, describe=f"persist lineage {self.path.name}"
-            )
-
-    # -- appends ---------------------------------------------------------------
+    record_type = ShardEpochRecord
+    version_field = "sharded_lineage_format_version"
+    format_version = SHARDED_LINEAGE_FORMAT_VERSION
+    describe = "sharded epoch lineage"
+    file_suffix = ".sharded.json"
 
     def append(self, record: ShardEpochRecord) -> None:
         """Record one built epoch; epochs must arrive in order, gap-free."""
-        with self._lock:
-            expected = len(self._records)
-            if record.epoch != expected:
-                raise LineageConflictError(
-                    f"epoch {record.epoch} appended out of order; lineage "
-                    f"expects epoch {expected} next"
-                )
-            self._records.append(record)
-            if self.path is not None:
-                try:
-                    self._persist()
-                except CrashFault:
-                    # Simulated process death: roll the in-memory append
-                    # back so a surviving object matches the on-disk
-                    # ledger, which still ends at the previous epoch.
-                    self._records.pop()
-                    raise
-                except (OSError, FaultError) as error:
-                    self._records.pop()
-                    raise ReleaseStoreError(
-                        f"cannot persist sharded epoch lineage to "
-                        f"{self.path}: {error}"
-                    ) from error
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def records(self) -> list[ShardEpochRecord]:
-        """All epoch records so far, oldest first (copy)."""
-        with self._lock:
-            return list(self._records)
-
-    @property
-    def latest(self) -> ShardEpochRecord | None:
-        with self._lock:
-            return self._records[-1] if self._records else None
-
-    @property
-    def next_epoch(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    @property
-    def spent_epsilon(self) -> float:
-        """Σ εᵢ over recorded epochs, summed left to right (exact)."""
-        total = 0.0
-        for record in self.records:
-            total += record.epsilon
-        return total
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ShardedLineage(epochs={len(self)}, path={str(self.path)!r})"
+        super().append(record)

@@ -16,7 +16,10 @@ yet shared), and methods whose name ends in ``_locked`` are exempt (the
 repo-wide convention that the caller already holds the lock — the
 callers themselves remain checked).  Deliberate lock-free fast paths
 (e.g. the sharded engine's warm read) carry an explicit
-``# statan: ignore[LOCK001]`` pragma with a justification.
+``# statan: ignore[LOCK001]`` pragma with a justification.  Guards are
+inherited: a class's base classes are resolved through the module's
+imports to classes defined anywhere in the analyzed program, so a
+subclass in another module is held to its base's annotations.
 
 **LOCK002** — no blocking call while holding an annotated lock.
 "Blocking" is the canonical catalog exported by
@@ -94,12 +97,66 @@ def _collect_annotations(
                 attr = _self_attr(target)
                 if attr is None:
                     continue
-                for lineno in (node.lineno, node.lineno - 1):
-                    match = GUARDED_BY.search(module.comment_on_line(lineno))
-                    if match:
-                        guards[attr] = match.group(1)
-                        break
+                match = GUARDED_BY.search(module.comment_on_line(node.lineno))
+                above = module.comment_on_line(node.lineno - 1)
+                if not match and above.lstrip().startswith("#"):
+                    # Only a comment-only line above annotates; a trailing
+                    # comment there belongs to the previous statement.
+                    match = GUARDED_BY.search(above)
+                if match:
+                    guards[attr] = match.group(1)
     return guards
+
+
+def _class_origins(module: SourceModule) -> dict[str, str]:
+    """Local name -> dotted origin: absolute imports and top-level classes."""
+    names = {
+        node.name: f"{module.name}.{node.name}"
+        for node in module.tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+    return names
+
+
+def _program_guards(program: Program) -> dict[tuple[str, str], dict[str, str]]:
+    """``{(module, class): {attr: lock}}`` with base-class guards inherited.
+
+    A base is followed when it names a class defined in the analyzed
+    program, directly or through an import; a subclass's own annotation
+    wins over an inherited one for the same attribute.
+    """
+    own: dict[tuple[str, str], dict[str, str]] = {}
+    bases: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for module in program.modules:
+        origins = _class_origins(module)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            ident = (module.name, node.name)
+            own[ident] = _collect_annotations(module, node)
+            bases[ident] = []
+            for dotted in filter(None, map(dotted_call_name, node.bases)):
+                head = dotted.split(".", 1)[0]
+                origin = origins.get(head, head) + dotted[len(head):]
+                bases[ident].append(tuple(origin.rsplit(".", 1)))
+
+    def guards_of(ident: tuple[str, str], chain: tuple = ()) -> dict[str, str]:
+        merged: dict[str, str] = {}
+        for base in bases[ident]:
+            if base in own and base not in chain:
+                merged.update(guards_of(base, chain + (ident,)))
+        merged.update(own[ident])
+        return merged
+
+    return {ident: guards_of(ident) for ident in own}
 
 
 def _local_callee_name(call: ast.Call) -> str | None:
@@ -176,12 +233,13 @@ class LockDisciplinePass(LintPass):
 
     def run(self, program: Program) -> list[Finding]:
         findings: list[Finding] = []
+        program_guards = _program_guards(program)
         for module in program.modules:
             io_functions = None  # built lazily, only for annotated classes
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                guards = _collect_annotations(module, node)
+                guards = program_guards[(module.name, node.name)]
                 if not guards:
                     continue
                 if io_functions is None:

@@ -12,12 +12,14 @@ while rows keep arriving, without ever weakening the privacy story:
   :class:`GeometricEpsilonSchedule` — the ε each epoch may spend under
   sequential composition (:mod:`repro.streaming.policy`);
 * :class:`EpochRecord` / :class:`EpochLineage` — the durable,
-  shareable ledger of every epoch's release identity and ε charge
+  shareable ledger of every epoch's release identity and ε charge, on
+  the :class:`LineageLedger` both stream kinds share
   (:mod:`repro.streaming.lineage`);
 * :class:`StreamingHistogramEngine` — the façade: ingest, advance epochs
   (inline or on a background build thread), keep answering every batch
   from one immutable epoch snapshot, and warm-restart from the stored
-  lineage with zero ε (:mod:`repro.streaming.engine`).
+  lineage with zero ε (:mod:`repro.streaming.engine`); its epoch loop
+  is :class:`EpochStreamEngine`, shared with the sharded stream.
 
 For massive domains the sharded sibling
 :class:`~repro.sharding.streaming.ShardedStreamingEngine` reuses this
@@ -65,8 +67,12 @@ Quickstart::
 """
 
 from repro.streaming.buffer import IngestBuffer
-from repro.streaming.engine import StreamBatchResult, StreamingHistogramEngine
-from repro.streaming.lineage import EpochLineage, EpochRecord
+from repro.streaming.engine import (
+    EpochStreamEngine,
+    StreamBatchResult,
+    StreamingHistogramEngine,
+)
+from repro.streaming.lineage import EpochLineage, EpochRecord, LineageLedger
 from repro.streaming.policy import (
     EpsilonSchedule,
     FixedEpsilonSchedule,
@@ -78,10 +84,12 @@ from repro.streaming.policy import (
 
 __all__ = [
     "IngestBuffer",
+    "EpochStreamEngine",
     "StreamBatchResult",
     "StreamingHistogramEngine",
     "EpochLineage",
     "EpochRecord",
+    "LineageLedger",
     "EpsilonSchedule",
     "FixedEpsilonSchedule",
     "GeometricEpsilonSchedule",

@@ -16,7 +16,10 @@ lineage is the stream's public provenance:
 
 When bound to a file the lineage is rewritten atomically (temp file +
 ``os.replace``) after every append, mirroring the release store's
-crash-safety protocol.
+crash-safety protocol.  :class:`LineageLedger` holds that protocol once
+for both stream kinds; :class:`EpochLineage` and
+:class:`~repro.sharding.lineage.ShardedLineage` name only their record
+type and file-format field.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Generic, TypeVar
 
 from repro import faults
 from repro.exceptions import LineageConflictError, ReleaseStoreError
@@ -33,10 +37,17 @@ from repro.faults.retry import RetryPolicy, run_with_retry
 from repro.serving.release import ReleaseKey
 from repro.utils.io_atomic import atomic_write_json
 
-__all__ = ["EpochRecord", "EpochLineage", "LINEAGE_FORMAT_VERSION"]
+__all__ = [
+    "EpochRecord",
+    "EpochLineage",
+    "LineageLedger",
+    "LINEAGE_FORMAT_VERSION",
+]
 
 #: Version of the lineage file schema; bump when the layout changes.
 LINEAGE_FORMAT_VERSION = 1
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,15 @@ class EpochRecord:
             ) from error
 
 
-class EpochLineage:
-    """An append-only, optionally file-backed sequence of epoch records.
+class LineageLedger(Generic[R]):
+    """An append-only, optionally file-backed ledger of epoch records.
+
+    The one implementation behind both stream lineages: loading with a
+    contiguity check, gap-free appends, the atomic persist after every
+    append, and the rollback of an append whose persist failed.  A
+    subclass names only its record type (which must carry ``epoch`` and
+    ``epsilon`` and convert to and from JSON) and the field its file
+    stores the format version under.
 
     Parameters
     ----------
@@ -100,11 +118,22 @@ class EpochLineage:
         orphaned by a transient disk error.
     """
 
+    #: the record class the file's ``epochs`` list holds
+    record_type: type
+    #: the document field holding the file format version
+    version_field: str
+    #: the newest file format this class reads and the one it writes
+    format_version: int
+    #: how error messages name the file
+    describe: str
+    #: the file's suffix under ``<store>/streams/``
+    file_suffix: str
+
     def __init__(self, path=None, *, retry: RetryPolicy | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self.retry = retry
         self._lock = threading.Lock()
-        self._records: list[EpochRecord] = []
+        self._records: list[R] = []
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -113,29 +142,29 @@ class EpochLineage:
             document = json.loads(self.path.read_text())
         except (OSError, ValueError) as error:
             raise ReleaseStoreError(
-                f"cannot read epoch lineage {self.path}: {error}"
+                f"cannot read {self.describe} {self.path}: {error}"
             ) from error
-        version = document.get("lineage_format_version")
-        if not isinstance(version, int) or version > LINEAGE_FORMAT_VERSION:
+        version = document.get(self.version_field)
+        if not isinstance(version, int) or version > self.format_version:
             raise ReleaseStoreError(
-                f"epoch lineage {self.path} has format version {version!r}, "
-                f"newer than the supported {LINEAGE_FORMAT_VERSION}"
+                f"{self.describe} {self.path} has format version {version!r}, "
+                f"newer than the supported {self.format_version}"
             )
         epochs = document.get("epochs")
         if not isinstance(epochs, list):
-            raise ReleaseStoreError(f"epoch lineage {self.path} has no epoch list")
-        records = [EpochRecord.from_json(entry) for entry in epochs]
+            raise ReleaseStoreError(f"{self.describe} {self.path} has no epoch list")
+        records = [self.record_type.from_json(entry) for entry in epochs]
         for i, record in enumerate(records):
             if record.epoch != i:
                 raise LineageConflictError(
-                    f"epoch lineage {self.path} is not contiguous: position "
+                    f"{self.describe} {self.path} is not contiguous: position "
                     f"{i} records epoch {record.epoch}"
                 )
         self._records = records
 
     def _persist(self) -> None:
         document = {
-            "lineage_format_version": LINEAGE_FORMAT_VERSION,
+            self.version_field: self.format_version,
             "epochs": [record.to_json() for record in self._records],
         }
 
@@ -153,7 +182,7 @@ class EpochLineage:
 
     # -- appends ---------------------------------------------------------------
 
-    def append(self, record: EpochRecord) -> None:
+    def append(self, record: R) -> None:
         """Record one built epoch; epochs must arrive in order, gap-free."""
         with self._lock:
             expected = len(self._records)
@@ -167,28 +196,29 @@ class EpochLineage:
                 try:
                     self._persist()
                 except CrashFault:
-                    # A simulated process death: in-memory state is about
-                    # to vanish anyway, and the on-disk ledger still
-                    # holds the previous epoch — exactly what a real
-                    # crash leaves for the restart path to resume from.
+                    # A simulated process death: roll the in-memory append
+                    # back so a surviving object matches the on-disk
+                    # ledger, which still ends at the previous epoch —
+                    # exactly what a real crash leaves for the restart
+                    # path to resume from.
                     self._records.pop()
                     raise
                 except (OSError, FaultError) as error:
                     self._records.pop()
                     raise ReleaseStoreError(
-                        f"cannot persist epoch lineage to {self.path}: {error}"
+                        f"cannot persist {self.describe} to {self.path}: {error}"
                     ) from error
 
     # -- introspection ---------------------------------------------------------
 
     @property
-    def records(self) -> list[EpochRecord]:
+    def records(self) -> list[R]:
         """All epoch records so far, oldest first (copy)."""
         with self._lock:
             return list(self._records)
 
     @property
-    def latest(self) -> EpochRecord | None:
+    def latest(self) -> R | None:
         """The most recent epoch record, or ``None`` before epoch 0."""
         with self._lock:
             return self._records[-1] if self._records else None
@@ -215,4 +245,21 @@ class EpochLineage:
             return len(self._records)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EpochLineage(epochs={len(self)}, path={str(self.path)!r})"
+        return (
+            f"{type(self).__name__}(epochs={len(self)}, "
+            f"path={str(self.path)!r})"
+        )
+
+
+class EpochLineage(LineageLedger[EpochRecord]):
+    """The monolithic stream's ledger: one :class:`EpochRecord` per epoch."""
+
+    record_type = EpochRecord
+    version_field = "lineage_format_version"
+    format_version = LINEAGE_FORMAT_VERSION
+    describe = "epoch lineage"
+    file_suffix = ".json"
+
+    def append(self, record: EpochRecord) -> None:
+        """Record one built epoch; epochs must arrive in order, gap-free."""
+        super().append(record)

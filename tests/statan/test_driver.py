@@ -59,6 +59,16 @@ class TestFixtures:
         assert exit_code == 0
         assert report["findings"] == []
 
+    def test_lock001_follows_guards_into_a_subclass_in_another_module(self):
+        _, report = run_json(
+            [str(FIXTURES / "lock001" / "bad"), "--no-baseline"]
+        )
+        inherited = [
+            f for f in report["findings"] if f["path"].endswith("shard_ticker.py")
+        ]
+        assert [(f["code"], f["line"]) for f in inherited] == [("LOCK001", 10)]
+        assert "self._ticks" in inherited[0]["message"]
+
     def test_bad_variants_raise_nothing_else(self):
         # Each bad fixture must fail for its own reason: a finding with a
         # foreign code would mean the fixture (or a pass) drifted.

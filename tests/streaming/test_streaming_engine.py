@@ -125,6 +125,7 @@ class TestStreamingEndToEnd:
         restarted = StreamingHistogramEngine(
             current, 1.0, schedule, store=ReleaseStore(store_dir), name="resume",
         )
+        restarted.ingest(_delta_batches(rng, 1)[0])
         record = restarted.advance_epoch()
         assert record.epoch == 2
         assert record.epsilon == schedule.epsilon_for(2)
@@ -165,6 +166,7 @@ class TestStreamingEndToEnd:
         engine = StreamingHistogramEngine(
             base_counts, 1.0, schedule, store=ReleaseStore(store_dir), name="cap",
         )
+        engine.ingest(np.arange(20) % 64)
         engine.advance_epoch()  # epochs 0+1 exhaust the lifetime budget
         assert engine.spent_epsilon == 1.0
 

@@ -327,12 +327,17 @@ class TestStreamingCommands:
         assert (tmp_path / "stream" / "pending.log").read_text() == ""
 
         assert main([
+            "ingest", "--stream-dir", stream_dir,
+            "--counts-file", counts, "--rows", "10", "--seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
             "advance-epoch", "--stream-dir", stream_dir, "--store", store,
             "--stream", "cli-test", "--counts-file", counts,
             "--epsilon0", "0.4", "--decay", "0.5", "--seed", "7",
         ]) == 0
         out = capsys.readouterr().out
-        assert "epoch 1: folded 0 pending rows" in out
+        assert "epoch 1: folded 10 pending rows" in out
         assert "charged ε=0.2" in out
 
         assert main([
@@ -345,6 +350,39 @@ class TestStreamingCommands:
         assert "zero ε spent at startup" in out
         assert "from epoch 1" in out
         assert "ε spent this process: 0;" in out
+
+    def test_advance_epoch_with_no_pending_rows_is_a_free_no_op(
+        self, tmp_path, capsys
+    ):
+        counts = self._counts_file(tmp_path)
+        stream_dir, store = tmp_path / "stream", tmp_path / "store"
+        advance = [
+            "advance-epoch", "--stream-dir", str(stream_dir), "--store", str(store),
+            "--stream", "idle", "--counts-file", counts,
+            "--epsilon0", "0.4", "--decay", "0.5", "--seed", "7",
+        ]
+        assert main([
+            "ingest", "--stream-dir", str(stream_dir),
+            "--counts-file", counts, "--rows", "40", "--seed", "2",
+        ]) == 0
+        assert main(advance) == 0
+        assert "epoch 0: folded 40 pending rows" in capsys.readouterr().out
+        (ledger,) = (store / "streams").glob("idle-*.json")
+        owner_files = {
+            path.name: path.read_bytes() for path in stream_dir.iterdir()
+        }
+        lineage_before = ledger.read_bytes()
+
+        assert main(advance) == 0
+        out = capsys.readouterr().out
+        assert "no pending rows to fold: no epoch built, no ε charged" in out
+        assert "epoch 1" not in out
+        # the lineage (and with it the stream's lifetime Σε) is unchanged,
+        # and no owner-side file was committed
+        assert ledger.read_bytes() == lineage_before
+        assert {
+            path.name: path.read_bytes() for path in stream_dir.iterdir()
+        } == owner_files
 
     def test_serve_stream_simulates_epochs(self, tmp_path, capsys):
         counts = self._counts_file(tmp_path)
@@ -432,7 +470,7 @@ class TestStreamingCommands:
         assert main(advance) == 0
         out = capsys.readouterr().out
         assert "recovered interrupted commit: folded 3 released rows" in out
-        assert "recovery complete; no pending rows, not advancing an epoch" in out
+        assert "no pending rows to fold: no epoch built, no ε charged" in out
 
         # with fresh arrivals after a recovery the epoch does advance
         assert main([
@@ -639,6 +677,10 @@ class TestFailureExitCodes:
             "--epsilon0", "0.4", "--decay", "0.5", "--seed", "7",
         ]
         assert main(advance) == 0
+        assert main([
+            "ingest", "--stream-dir", stream_dir,
+            "--counts-file", counts, "--rows", "10", "--seed", "3",
+        ]) == 0
         assert main(advance) == 0
         capsys.readouterr()
 
