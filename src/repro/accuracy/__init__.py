@@ -8,9 +8,9 @@ else.  This package closes that loop in three pieces:
 * :mod:`repro.accuracy.models` — per-release
   :class:`~repro.accuracy.models.UncertaintyModel` objects that turn
   ``(estimator, ε, branching, domain)`` into the *exact* variance of any
-  range answer (identity and served-``H̃`` additively, ``H̄`` via adjoint
-  constrained-inference passes, wavelet via the Haar boundary closed
-  form), composing across shard pieces exactly like counts do.
+  range answer (identity and served-``H̃`` additively, ``H̄`` and the
+  wavelet in closed form over the range's two boundary paths), composing
+  across shard pieces exactly like counts do.
 * :mod:`repro.accuracy.slo` — tenant-declared
   :class:`~repro.accuracy.slo.AccuracySLO` targets
   (``target_ci_halfwidth`` at ``confidence``), checked on every answered

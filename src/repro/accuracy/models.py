@@ -16,9 +16,8 @@ leaves:
 * ``H̄`` (constrained) — Theorem 3 inference makes the leaves correlated;
   the exact variance of ``uᵀ·h̄`` is ``σ² ‖Mᵀu‖²`` where ``M`` is the
   linear inference operator.  :class:`ConstrainedTreeUncertaintyModel`
-  evaluates ``Mᵀu`` with adjoint bottom-up/top-down passes that mirror
-  :class:`repro.inference.hierarchical.HierarchicalInference` weight for
-  weight — O(num_nodes) per query, no operator matrix.
+  sums ``‖Mᵀu‖²`` in closed form over the range's two boundary
+  root-to-leaf paths — O(k·log n) per query, no operator matrix.
 * ``wavelet`` — Haar synthesis cancels every detail coefficient strictly
   inside a range; only the ≤2 boundary nodes per level survive, giving a
   closed form in O(log n) per query.
@@ -26,10 +25,10 @@ leaves:
 All models are pure and deterministic: variances are exact functions of
 ``(estimator, ε, branching, domain_size)`` and integer query bounds, so
 equivalence suites can assert bit-identity across serving paths.  The
-models deliberately ignore the integer rounding (~1/12 per leaf) and the
-Section 4.2 non-negativity heuristic applied by the serving defaults;
-both are negligible against mechanism noise on dense data and the
-CI-coverage audit in ``tests/statistical`` bounds the residual effect.
+models describe the mechanism, not the integer rounding and Section 4.2
+non-negativity step of the serving defaults: negligible on dense data,
+but biasing on sparse data, where ``benchmarks/bench_accuracy_slo.py``
+measures the resulting miscalibration.
 
 Confidence intervals use the Gaussian quantile of the exact variance —
 asymptotically correct for ranges (sums of many independent or linearly
@@ -40,6 +39,7 @@ models, which are exactly Laplace and get the exact Laplace quantile.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -121,6 +121,10 @@ def _check_ranges(los, his, domain_size: int) -> tuple[np.ndarray, np.ndarray]:
             f"range bounds must satisfy 0 <= lo <= hi < {domain_size}"
         )
     return los, his
+
+
+#: ranges per slice of :meth:`ConstrainedTreeUncertaintyModel.range_variances`
+_RANGE_SLICE = 1 << 12
 
 
 def _padded_size(domain_size: int, branching: int) -> int:
@@ -208,15 +212,19 @@ class AdditiveUncertaintyModel(UncertaintyModel):
 
 
 class ConstrainedTreeUncertaintyModel(UncertaintyModel):
-    """Exact ``H̄`` range variance via adjoint constrained-inference passes.
+    """Exact ``H̄`` range variance from the range's two boundary paths.
 
-    The served leaves are ``h̄ = M·h̃`` where ``h̃`` carries i.i.d. Laplace
-    noise of variance ``σ² = 2ℓ²/ε²`` per node, so a range indicator ``u``
-    has ``Var(uᵀh̄) = σ²‖Mᵀu‖²``.  ``Mᵀu`` is evaluated by running the
-    bottom-up/top-down recurrences of
-    :class:`~repro.inference.hierarchical.HierarchicalInference` in
-    reverse with the same per-level weights — O(num_nodes) per query,
-    batched over query chunks.
+    The served leaves are ``h̄ = M·h̃`` with i.i.d. node noise of variance
+    ``σ² = 2ℓ²/ε²``, so a range indicator ``u`` has ``Var(uᵀh̄) =
+    σ²‖Mᵀu‖²``.  The adjoint of Theorem 3's top-down pass gives each node
+    its covered fraction ``f`` minus its parent's: nonzero only below the
+    partially covered nodes, on the root-to-leaf paths of ``lo`` and
+    ``hi``.  The bottom-up adjoint carries a pull ``w_l = f_l - f_{l-1} +
+    c_{l-1}·w_{l-1}`` down each path, and a child leaving a path at level
+    ``d`` with pull ``v`` adds ``v²·T(d)`` for its whole subtree
+    (:func:`_path_weights`).  O(k·log n) per range on ``(queries,
+    height)`` arrays, in fixed slices of ranges; a range's variance
+    depends on its bounds only, so batches split or reorder bit for bit.
     """
 
     kind = "H_bar"
@@ -235,61 +243,72 @@ class ConstrainedTreeUncertaintyModel(UncertaintyModel):
 
     def range_variances(self, los, his) -> np.ndarray:
         los, his = _check_ranges(los, his, self.domain_size)
-        flat_los = los.reshape(-1)
-        flat_his = his.reshape(-1)
+        flat_los, flat_his = los.reshape(-1), his.reshape(-1)
         out = np.empty(flat_los.size, dtype=np.float64)
-        # Chunk so per-level scratch stays ~tens of MB on huge trees.
-        chunk = max(1, (1 << 22) // max(1, self.layout.num_nodes))
-        for start in range(0, flat_los.size, chunk):
-            stop = min(start + chunk, flat_los.size)
-            out[start:stop] = self._chunk_variances(
+        # Fixed slices keep the (2, slice, height) scratch to a few MB
+        # however large the batch; each range depends on its bounds only.
+        for start in range(0, flat_los.size, _RANGE_SLICE):
+            stop = start + _RANGE_SLICE
+            out[start:stop] = self._path_variances(
                 flat_los[start:stop], flat_his[start:stop]
             )
         return out.reshape(los.shape)
 
-    def _chunk_variances(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        k = self.layout.branching
-        height = self.layout.height
-        queries = los.size
-        leaves = self.padded_size
-        # Range indicators over the padded leaf domain via a diff/cumsum.
-        diff = np.zeros((queries, leaves + 1), dtype=np.float64)
-        rows = np.arange(queries)
-        diff[rows, los] = 1.0
-        diff[rows, his + 1] -= 1.0
-        u = np.cumsum(diff[:, :leaves], axis=1)
-
-        def childsum(level_values: np.ndarray) -> np.ndarray:
-            return level_values.reshape(queries, -1, k).sum(axis=2)
-
-        # Adjoint of the top-down pass: h[λ] = z[λ] + R((h[λ-1] - S z[λ])/k)
-        # with R = repeat-k and S = child-sum (R and S are adjoint to each
-        # other, and R∘S is self-adjoint).
-        zbar: list[np.ndarray] = [np.empty(0)] * height
-        ubar = u
-        for level in range(height - 1, 0, -1):
-            folded = childsum(ubar)
-            zbar[level] = ubar - np.repeat(folded / k, k, axis=1)
-            ubar = folded / k
-        zbar[0] = ubar  # h[0] = z[0]: the root's pull arrives unchanged
-
-        # Adjoint of the bottom-up pass: z[λ] = a_λ·h̃[λ] + c_λ·S(z[λ+1]).
-        # Accumulate top-down so each level inherits its parent's pull.
-        total = np.zeros(queries, dtype=np.float64)
-        wbar = zbar[0]
-        for level in range(height):
-            node_height = height - level  # leaves have height 1
-            k_l = float(k**node_height)
-            k_lm1 = float(k ** (node_height - 1))
-            own_weight = (k_l - k_lm1) / (k_l - 1.0) if k_l > 1.0 else 1.0
-            gradient = own_weight * wbar
-            total += np.einsum("ij,ij->i", gradient, gradient)
-            if level + 1 < height:
-                child_weight = (k_lm1 - 1.0) / (k_l - 1.0)
-                wbar = zbar[level + 1] + np.repeat(
-                    child_weight * wbar, k, axis=1
-                )
+    def _path_variances(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        k = self.branching
+        widths, spans, own2, subtree = _path_weights(self.layout.height, k)
+        lo, hi = los.reshape(-1, 1), his.reshape(-1, 1)
+        # The lo-path and hi-path node at every level: (2, queries, height).
+        nodes = np.stack((lo, hi)) // widths
+        starts = nodes * widths
+        shared = nodes[0] == nodes[1]  # both paths pass one node
+        frac = (
+            np.minimum(hi, starts + widths - 1) - np.maximum(lo, starts) + 1
+        ) / widths
+        # w_l = Σ_{d≤l} (f_d - f_{d-1})·C(d,l), and C(d,l) telescopes to
+        # spans_l / spans_d, so the pull is one sequential cumsum.
+        pull = spans * np.cumsum(np.diff(frac, prepend=0.0) / spans, axis=2)
+        terms = own2 * pull * pull
+        # Off-path children of each path node above the leaves.  Below
+        # the split, every child right of lo (left of hi) is covered; a
+        # shared node's children strictly between lo's and hi's are.
+        a, b = nodes[..., 1:] % k  # the children holding lo and hi
+        above = shared[:, :-1]
+        between = np.maximum(b - a - 1, 0)
+        covered = np.stack((np.where(above, between, k - 1 - a), b))
+        uncovered = k - 1 - covered
+        uncovered[0] -= above & (a != b)
+        # An uncovered child's pull is c_l·w_l - f_l, a covered one's 1 more.
+        off = spans[1:] / spans[:-1] * pull[..., :-1] - frac[..., :-1]
+        terms[..., :-1] += subtree[1:] * (
+            covered * (1.0 + off) ** 2 + uncovered * off * off
+        )
+        # A shared node is on both paths: count it (and its children) once.
+        total = (terms[0] + np.where(shared, 0.0, terms[1])).sum(axis=1)
         return self.node_variance * total
+
+
+@lru_cache(maxsize=None)
+def _path_weights(height: int, k: int) -> tuple[np.ndarray, ...]:
+    """Per-level constants of the boundary-path form for one tree shape.
+
+    With the own and child weights ``a_l``, ``c_l`` of
+    :class:`~repro.inference.hierarchical.HierarchicalInference`, returns
+    the leaves under a node at each level ``l``; ``spans_l = k^{h-l} - 1``,
+    so that ``c_l = spans_{l+1} / spans_l``; ``a_l²``; and the subtree
+    factor ``T(l) = Σ_{j≥l} a_j²·k^{j-l}·(c_l⋯c_{j-1})²``, built as
+    ``T(l) = a_l² + k·c_l²·T(l+1)``.
+    """
+    widths = k ** np.arange(height - 1, -1, -1, dtype=np.int64)
+    spans = k * widths.astype(np.float64) - 1.0
+    own2 = ((spans - widths + 1.0) / spans) ** 2
+    subtree = own2.copy()
+    for level in range(height - 2, -1, -1):
+        child = spans[level + 1] / spans[level]
+        subtree[level] += k * child**2 * subtree[level + 1]
+    for array in (widths, spans, own2, subtree):
+        array.setflags(write=False)
+    return widths, spans, own2, subtree
 
 
 class WaveletUncertaintyModel(UncertaintyModel):
@@ -362,7 +381,10 @@ class CompositeUncertaintyModel(UncertaintyModel):
     Shards draw independent noise, so a range splits at the shard
     boundaries into per-shard pieces whose counts and variances add.
     Shard geometry is passed as the plain ``starts`` offsets array (no
-    dependency on the sharding tier).
+    dependency on the sharding tier).  Shards may share one model object
+    (:func:`composite_uncertainty_model` shares one per distinct width
+    and ε); each distinct model scores all of a batch's pieces in one
+    call, and each range adds its pieces in shard order.
     """
 
     def __init__(
@@ -377,27 +399,38 @@ class CompositeUncertaintyModel(UncertaintyModel):
             )
         self.models = list(models)
         self.kind = models[0].kind if models else "?"
+        self.ends = np.append(self.starts[1:], self.domain_size) - 1
+        # Each shard's model, named by the first shard holding that object.
+        index = [[m is model for m in self.models].index(True) for model in self.models]
+        self._model_shard = np.array(index, dtype=np.int64)
 
     def range_variances(self, los, his) -> np.ndarray:
         los, his = _check_ranges(los, his, self.domain_size)
-        num_shards = self.starts.size
-        ends = np.append(self.starts[1:], self.domain_size) - 1
-        lo_shards = np.searchsorted(self.starts, los, side="right") - 1
-        hi_shards = np.searchsorted(self.starts, his, side="right") - 1
-        variances = np.zeros(los.shape, dtype=np.float64)
-        for shard in range(num_shards):
-            overlap = (lo_shards <= shard) & (shard <= hi_shards)
-            if not np.any(overlap):
-                continue
-            local_lo = np.maximum(los, self.starts[shard]) - self.starts[shard]
-            local_hi = np.minimum(his, ends[shard]) - self.starts[shard]
-            # Clamp non-overlapping queries to a valid dummy range; their
-            # contribution is masked out below.
-            safe_lo = np.where(overlap, local_lo, 0)
-            safe_hi = np.where(overlap, local_hi, 0)
-            piece = self.models[shard].range_variances(safe_lo, safe_hi)
-            variances += np.where(overlap, piece, 0.0)
-        return variances
+        flat_los, flat_his = los.reshape(-1), his.reshape(-1)
+        lo_shards = np.searchsorted(self.starts, flat_los, side="right") - 1
+        hi_shards = np.searchsorted(self.starts, flat_his, side="right") - 1
+        # One piece per (range, overlapped shard), range-major and in
+        # shard order within each range.
+        counts = hi_shards - lo_shards + 1
+        firsts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(flat_los.size), counts)
+        shard = np.repeat(lo_shards - firsts, counts) + np.arange(owner.size)
+        offset = self.starts[shard]
+        piece_los = np.maximum(flat_los[owner], offset) - offset
+        piece_his = np.minimum(flat_his[owner], self.ends[shard]) - offset
+        pieces = np.empty(owner.size, dtype=np.float64)
+        piece_models = self._model_shard[shard]
+        for first in np.unique(piece_models).tolist():
+            mine = np.flatnonzero(piece_models == first)
+            pieces[mine] = self.models[first].range_variances(
+                piece_los[mine], piece_his[mine]
+            )
+        # Add each range's pieces left to right, as a per-shard loop would.
+        variances = np.zeros(flat_los.size, dtype=np.float64)
+        for rank in range(int(counts.max()) if counts.size else 0):
+            spanning = np.flatnonzero(counts > rank)
+            variances[spanning] += pieces[firsts[spanning] + rank]
+        return variances.reshape(los.shape)
 
 
 def uncertainty_model_for(
@@ -446,12 +479,12 @@ def composite_uncertainty_model(
 ) -> UncertaintyModel:
     """Uncertainty model for a sharded release (one ε per shard).
 
-    Builds one per-shard model over each shard's local domain and
-    composes them.  When every shard model is additive with the *same*
-    per-leaf variance the composition collapses to one global additive
-    model, which makes the reported variance bit-identical across shard
-    counts (the range length is summed as an integer before the one
-    float multiply).
+    Builds one model per distinct (shard width, ε) over that local
+    domain, shared by every shard it describes, and composes them.  When
+    every shard model is additive with the *same* per-leaf variance the
+    composition collapses to one global additive model, which makes the
+    reported variance bit-identical across shard counts (the range
+    length is summed as an integer before the one float multiply).
     """
     starts = np.asarray(starts, dtype=np.int64)
     epsilons = [float(epsilon) for epsilon in epsilons]
@@ -460,26 +493,24 @@ def composite_uncertainty_model(
             f"expected one ε per shard, got {starts.size} starts and "
             f"{len(epsilons)} epsilons"
         )
-    ends = np.append(starts[1:], domain_size)
-    models = [
-        uncertainty_model_for(
-            estimator,
-            domain_size=int(ends[shard] - starts[shard]),
-            epsilon=epsilons[shard],
-            branching=branching,
-        )
-        for shard in range(starts.size)
-    ]
-    additive = [
-        model for model in models if isinstance(model, AdditiveUncertaintyModel)
-    ]
-    if len(additive) == len(models) and models:
-        leaf_variances = {model.leaf_variance for model in additive}
-        if len(leaf_variances) == 1:
-            return AdditiveUncertaintyModel(
-                additive[0].leaf_variance,
-                domain_size,
-                kind=additive[0].kind,
-                unit_laplace=additive[0].unit_laplace,
+    widths = np.diff(np.append(starts, domain_size)).tolist()
+    shared: dict[tuple[int, float], UncertaintyModel] = {}
+    for width, epsilon in zip(widths, epsilons):
+        if (width, epsilon) not in shared:
+            shared[width, epsilon] = uncertainty_model_for(
+                estimator, domain_size=width, epsilon=epsilon, branching=branching
             )
+    models = [shared[key] for key in zip(widths, epsilons)]
+    first = models[0] if models else None
+    if models and all(
+        isinstance(model, AdditiveUncertaintyModel)
+        and model.leaf_variance == first.leaf_variance
+        for model in models
+    ):
+        return AdditiveUncertaintyModel(
+            first.leaf_variance,
+            domain_size,
+            kind=first.kind,
+            unit_laplace=first.unit_laplace,
+        )
     return CompositeUncertaintyModel(starts, domain_size, models)

@@ -27,19 +27,29 @@ so it drops into every engine and CLI surface that accepts a schedule.
 Engines detect the extra capability through the ``allocates_per_shard``
 marker attribute.  The EMA/grant state is advisory only — it steers
 *which* shards refresh, never *how much* is charged — so it is owned by
-one engine and rebuilt empty on warm restart.
+one engine and rebuilt empty on warm restart, and it moves only when
+the engine commits the :class:`Allocation` of an epoch it published.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.accuracy.slo import AccuracySLO, required_epsilon
 from repro.exceptions import ReproError
 
-__all__ = ["AdaptiveEpsilonAllocator"]
+__all__ = ["AdaptiveEpsilonAllocator", "Allocation"]
+
+
+class Allocation(NamedTuple):
+    """One epoch's per-shard grants and the steering state they imply."""
+
+    grants: np.ndarray
+    arrival_ema: np.ndarray
+    last_grant: np.ndarray
 
 
 class AdaptiveEpsilonAllocator:
@@ -111,7 +121,7 @@ class AdaptiveEpsilonAllocator:
             else 0.0
         )
         # Advisory steering state, owned by the one engine driving this
-        # allocator (mutated only under its refresh lock).
+        # allocator (replaced only by commit(), under its refresh lock).
         self._arrival_ema: np.ndarray | None = None
         self._last_grant: np.ndarray | None = None
 
@@ -135,14 +145,14 @@ class AdaptiveEpsilonAllocator:
 
     def allocate(
         self, epoch: int, shard_rows, *, bootstrap: bool = False
-    ) -> np.ndarray:
+    ) -> Allocation:
         """Per-shard ε grants for ``epoch`` given pending arrival counts.
 
-        Returns an array with ``grants[s] == epsilon_for(epoch)`` for
-        shards selected to refresh and ``0.0`` for shards that keep their
-        current release.  ``bootstrap=True`` (no release assembled yet)
-        grants every shard.  Not thread-safe: call under the engine's
-        refresh lock.
+        Returns an :class:`Allocation` with ``grants[s] ==
+        epsilon_for(epoch)`` for shards selected to refresh and ``0.0``
+        for shards that keep their current release.  ``bootstrap=True``
+        (no release assembled yet) grants every shard.  Changes nothing:
+        pass the result to :meth:`commit` once the epoch is published.
         """
         rows = np.asarray(shard_rows, dtype=np.float64)
         if rows.ndim != 1 or rows.size == 0:
@@ -152,38 +162,41 @@ class AdaptiveEpsilonAllocator:
             )
         envelope = float(self.schedule.epsilon_for(epoch))
         if self._arrival_ema is None or self._arrival_ema.size != rows.size:
-            self._arrival_ema = rows.copy()
-            self._last_grant = np.zeros(rows.size, dtype=np.float64)
+            ema = rows.copy()
+            last_grant = np.zeros(rows.size, dtype=np.float64)
         else:
-            self._arrival_ema = (
-                self.smoothing * rows
-                + (1.0 - self.smoothing) * self._arrival_ema
-            )
+            ema = self.smoothing * rows + (1.0 - self.smoothing) * self._arrival_ema
+            last_grant = self._last_grant.copy()
         grants = np.zeros(rows.size, dtype=np.float64)
         if bootstrap:
             grants[:] = envelope
-            self._last_grant[:] = envelope
-            return grants
+            last_grant[:] = envelope
+            return Allocation(grants, ema, last_grant)
         eligible = rows >= self.min_refresh_rows
         if not np.any(eligible):
-            return grants
+            return Allocation(grants, ema, last_grant)
         budget = max(1, math.ceil(self.hot_fraction * rows.size))
         # Rank eligible shards: SLO-starved first, then hottest EMA, then
         # lowest index — a total order, so the selection is deterministic.
         starved = (
-            eligible & (self._last_grant < self._required_epsilon)
+            eligible & (last_grant < self._required_epsilon)
             if self.slo is not None
             else np.zeros(rows.size, dtype=bool)
         )
         order = np.lexsort(
             (
                 np.arange(rows.size),
-                -self._arrival_ema,
+                -ema,
                 ~starved,
                 ~eligible,
             )
         )
         chosen = order[: min(budget, int(np.count_nonzero(eligible)))]
         grants[chosen] = envelope
-        self._last_grant[chosen] = envelope
-        return grants
+        last_grant[chosen] = envelope
+        return Allocation(grants, ema, last_grant)
+
+    def commit(self, allocation: Allocation) -> None:
+        """Adopt the steering state of an allocation whose epoch published."""
+        self._arrival_ema = allocation.arrival_ema
+        self._last_grant = allocation.last_grant

@@ -115,7 +115,8 @@ class ShardedStreamingEngine(EpochStreamEngine):
     epoch's scheduled envelope ``εᵢ`` and refreshed shards hold disjoint
     data, so the epoch still charges exactly ``εᵢ`` once (parallel
     composition) — lifetime Σε accounting, lineage records, and the
-    ε-ledger audit stay bit-identical to a uniform schedule.
+    ε-ledger audit stay bit-identical to a uniform schedule.  The
+    allocator's steering state is committed once the epoch is published.
     """
 
     kind = "sharded stream"
@@ -204,18 +205,16 @@ class ShardedStreamingEngine(EpochStreamEngine):
     def _select_fold_locked(self, epoch, delta, rows):
         bootstrap = epoch == 0
         shard_rows = np.add.reduceat(delta, self.plan.starts)
-        grants = None
+        allocation = None
         if self._allocator is not None:
             # The allocator decides the refresh set and per-shard grants;
             # every grant is bounded by this epoch's envelope εᵢ, so the
             # single εᵢ charge still covers the whole refresh set by
             # parallel composition.
-            grants = self._allocator.allocate(
+            allocation = self._allocator.allocate(
                 epoch, shard_rows, bootstrap=bootstrap
             )
-            refreshed = [
-                s for s in range(self.plan.num_shards) if grants[s] > 0.0
-            ]
+            refreshed = np.flatnonzero(allocation.grants).tolist()
         elif bootstrap:
             refreshed = list(range(self.plan.num_shards))
         else:
@@ -236,16 +235,16 @@ class ShardedStreamingEngine(EpochStreamEngine):
         fold_rows = int(round(float(shard_rows[list(refreshed)].sum())))
         if ride_along.any():
             self._buffer.restore(ride_along, rows - fold_rows)
-        return fold, fold_rows, (refreshed, grants)
+        return fold, fold_rows, (refreshed, allocation)
 
     def _build_epoch_locked(self, epoch, epsilon, counts, rows, refresh):
-        refreshed, grants = refresh
+        refreshed, allocation = refresh
         shard_counts = self.plan.split(counts)
         keys = [
             ReleaseKey(
                 dataset_fingerprint=fingerprint_counts(shard_counts[s]),
                 estimator=self.estimator,
-                epsilon=float(epsilon if grants is None else grants[s]),
+                epsilon=float(epsilon if allocation is None else allocation.grants[s]),
                 branching=self.branching,
                 seed=derive_shard_seed(self.base_seed, epoch, s),
             )
@@ -295,6 +294,11 @@ class ShardedStreamingEngine(EpochStreamEngine):
             for release in fresh:
                 self.cache.store.put(release)
         return record, assembled, 1
+
+    def _epoch_published_locked(self, refresh):
+        allocation = refresh[1]
+        if allocation is not None:
+            self._allocator.commit(allocation)
 
     def _served_keys_locked(self, record):
         if record.num_shards != self.plan.num_shards:

@@ -143,6 +143,8 @@ class EpochStreamEngine:
     * ``_build_epoch_locked(epoch, epsilon, counts, rows, refresh)`` —
       build, charge and persist the epoch; returns ``(record, release,
       builds paid for)``;
+    * ``_epoch_published_locked(refresh)`` — commit what only a
+      published epoch may change (a no-op by default);
     * ``_served_keys_locked(record)`` — ``(where, epoch, seed, key)`` for
       each release a lineage record serves, and ``_assemble(releases,
       counts)`` — the one release they form;
@@ -521,11 +523,15 @@ class EpochStreamEngine:
         with self._serve_lock:
             self._current = (epoch, release, float(epsilon))
             self.materializations += built
+        self._epoch_published_locked(refresh)
         if obs.enabled():
             obs.registry().counter(
                 "repro_stream_epochs_total", "Epochs built and published"
             ).inc(stream=self.name)
         return record
+
+    def _epoch_published_locked(self, refresh) -> None:
+        """Hook: the epoch ``refresh`` selected is built and published."""
 
     def _check_can_build_locked(self, epoch: int, epsilon: float) -> None:
         """Refuse an epoch that would overspend the lifetime or a stale base."""

@@ -3,16 +3,19 @@
 Every model is checked against an independent implementation — the
 explicit inference operator matrix for H̄, a from-scratch Haar boundary
 walk for the wavelet, and the closed-form theory expressions for the
-additive models — so the O(num_nodes)/O(log n) fast paths can never
+additive models — so the O(k·log n)/O(log n) fast paths can never
 drift from the math they encode.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.accuracy.models import (
+    _RANGE_SLICE,
     AdditiveUncertaintyModel,
     CompositeUncertaintyModel,
     ConstrainedTreeUncertaintyModel,
@@ -139,17 +142,44 @@ class TestConstrainedTreeModel:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_chunking_is_invisible(self):
-        model = ConstrainedTreeUncertaintyModel(16, epsilon=1.0)
-        rng = np.random.default_rng(3)
-        los, his = random_ranges(rng, 16, 40)
+        for domain_size in (16, 1 << 16):
+            model = ConstrainedTreeUncertaintyModel(domain_size, epsilon=1.0)
+            rng = np.random.default_rng(3)
+            los, his = random_ranges(rng, domain_size, 400)
+            whole = model.range_variances(los, his)
+            chunked = ConstrainedTreeUncertaintyModel(domain_size, epsilon=1.0)
+            # Split the batch every way a serving path might, through the
+            # same public surface: each range's variance is bit-identical.
+            for size in (1, 3, 8, 64, 399):
+                chunks = [
+                    chunked.range_variances(los[i : i + size], his[i : i + size])
+                    for i in range(0, los.size, size)
+                ]
+                assert np.array_equal(np.concatenate(chunks), whole)
+            order = rng.permutation(los.size)
+            reordered = chunked.range_variances(los[order], his[order])
+            assert np.array_equal(reordered, whole[order])
+
+    def test_large_batches_run_in_slices_with_bounded_scratch(self):
+        model = ConstrainedTreeUncertaintyModel(1 << 16, epsilon=1.0)
+        rng = np.random.default_rng(5)
+        los, his = random_ranges(rng, 1 << 16, 16 * _RANGE_SLICE + 17)
         whole = model.range_variances(los, his)
-        model_chunked = ConstrainedTreeUncertaintyModel(16, epsilon=1.0)
-        # Force tiny chunks through the same public surface.
-        chunks = [
-            model_chunked.range_variances(los[i : i + 3], his[i : i + 3])
-            for i in range(0, 40, 3)
-        ]
-        assert np.array_equal(np.concatenate(chunks), whole)
+        # Cuts that straddle the internal slice boundaries change nothing.
+        for size in (1000, _RANGE_SLICE - 1, _RANGE_SLICE + 1):
+            chunks = [
+                model.range_variances(los[i : i + size], his[i : i + size])
+                for i in range(0, los.size, size)
+            ]
+            assert np.array_equal(np.concatenate(chunks), whole)
+        # Peak memory grows with the output only, not with the scratch.
+        peaks = []
+        for count in (_RANGE_SLICE, los.size):
+            tracemalloc.start()
+            model.range_variances(los[:count], his[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16 * los.size
 
 
 def brute_force_wavelet_variances(domain_size, epsilon, los, his):

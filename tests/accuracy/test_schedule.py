@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.accuracy.schedule import AdaptiveEpsilonAllocator
 from repro.accuracy.slo import AccuracySLO, required_epsilon
 from repro.exceptions import ReproError
+from repro.faults import FailNth, FaultError
 from repro.obs.ledger import EpsilonLedgerExporter
 from repro.serving.planner import QueryBatch
 from repro.serving.store import ReleaseStore
@@ -18,6 +20,13 @@ from repro.streaming.policy import FixedEpsilonSchedule, GeometricEpsilonSchedul
 def allocator(**kwargs):
     schedule = kwargs.pop("schedule", FixedEpsilonSchedule(0.5))
     return AdaptiveEpsilonAllocator(schedule, **kwargs)
+
+
+def step(alloc, epoch, shard_rows, **kwargs):
+    """Allocate one epoch and commit it, as a published epoch does."""
+    allocation = alloc.allocate(epoch, shard_rows, **kwargs)
+    alloc.commit(allocation)
+    return allocation.grants
 
 
 class TestValidation:
@@ -62,7 +71,7 @@ class TestScheduleSurface:
 class TestAllocation:
     def test_bootstrap_grants_the_envelope_everywhere(self):
         alloc = allocator()
-        grants = alloc.allocate(0, [0, 0, 0, 0], bootstrap=True)
+        grants = step(alloc, 0, [0, 0, 0, 0], bootstrap=True)
         assert np.array_equal(grants, np.full(4, 0.5))
 
     def test_grants_are_zero_or_the_envelope(self):
@@ -70,39 +79,39 @@ class TestAllocation:
             schedule=GeometricEpsilonSchedule(0.4, decay=0.5),
             hot_fraction=0.5,
         )
-        alloc.allocate(0, [1, 1, 1, 1], bootstrap=True)
-        grants = alloc.allocate(1, [9, 2, 0, 7])
+        step(alloc, 0, [1, 1, 1, 1], bootstrap=True)
+        grants = step(alloc, 1, [9, 2, 0, 7])
         envelope = alloc.epsilon_for(1)
         assert set(np.unique(grants)) <= {0.0, envelope}
         assert np.max(grants) == envelope  # someone always gets the full ε
 
     def test_hottest_shards_win_and_ties_break_by_index(self):
         alloc = allocator(hot_fraction=0.5, smoothing=1.0)
-        alloc.allocate(0, [0, 0, 0, 0], bootstrap=True)
-        grants = alloc.allocate(1, [3, 9, 3, 9])
+        step(alloc, 0, [0, 0, 0, 0], bootstrap=True)
+        grants = step(alloc, 1, [3, 9, 3, 9])
         assert grants.tolist() == [0.0, 0.5, 0.0, 0.5]
         # Budget of one with a 2-way tie at EMA 3: lowest index wins.
         tied = allocator(hot_fraction=0.25, smoothing=1.0)
-        tied.allocate(0, [0, 0, 0, 0], bootstrap=True)
-        grants = tied.allocate(1, [3, 1, 3, 0])
+        step(tied, 0, [0, 0, 0, 0], bootstrap=True)
+        grants = step(tied, 1, [3, 1, 3, 0])
         assert grants.tolist() == [0.5, 0.0, 0.0, 0.0]
 
     def test_ema_tracks_the_declared_smoothing(self):
         alloc = allocator(smoothing=0.25)
-        alloc.allocate(0, [8.0, 0.0], bootstrap=True)  # EMA init = rows
-        alloc.allocate(1, [0.0, 4.0])
+        step(alloc, 0, [8.0, 0.0], bootstrap=True)  # EMA init = rows
+        step(alloc, 1, [0.0, 4.0])
         assert alloc.arrival_ema == pytest.approx([6.0, 1.0])
 
     def test_sub_threshold_shards_are_never_granted(self):
         alloc = allocator(min_refresh_rows=10, hot_fraction=1.0)
-        alloc.allocate(0, [0, 0, 0], bootstrap=True)
-        grants = alloc.allocate(1, [9, 12, 3])
+        step(alloc, 0, [0, 0, 0], bootstrap=True)
+        grants = step(alloc, 1, [9, 12, 3])
         assert grants.tolist() == [0.0, 0.5, 0.0]
 
     def test_no_eligible_shard_means_no_grants(self):
         alloc = allocator(min_refresh_rows=5)
-        alloc.allocate(0, [0, 0], bootstrap=True)
-        assert not np.any(alloc.allocate(1, [4, 4]))
+        step(alloc, 0, [0, 0], bootstrap=True)
+        assert not np.any(step(alloc, 1, [4, 4]))
 
     def test_slo_starved_shards_jump_the_ranking(self):
         slo = AccuracySLO(target_ci_halfwidth=20.0)
@@ -116,18 +125,18 @@ class TestAllocation:
         )
         # Every shard starts starved (never granted): EMA decides, the
         # hottest shard 0 wins and is no longer starved afterwards.
-        assert alloc.allocate(0, [10, 1, 1, 1]).tolist() == [0.5, 0, 0, 0]
+        assert step(alloc, 0, [10, 1, 1, 1]).tolist() == [0.5, 0, 0, 0]
         # Shard 0 is still hottest, but the still-starved shard 1 now
         # outranks it; without the SLO the hot shard would repeat.
-        assert alloc.allocate(1, [10, 1, 1, 1]).tolist() == [0, 0.5, 0, 0]
+        assert step(alloc, 1, [10, 1, 1, 1]).tolist() == [0, 0.5, 0, 0]
         plain = allocator(hot_fraction=0.25, smoothing=1.0)
-        plain.allocate(0, [10, 1, 1, 1])
-        assert plain.allocate(1, [10, 1, 1, 1]).tolist() == [0.5, 0, 0, 0]
+        step(plain, 0, [10, 1, 1, 1])
+        assert step(plain, 1, [10, 1, 1, 1]).tolist() == [0.5, 0, 0, 0]
 
     def test_resize_reinitializes_the_steering_state(self):
         alloc = allocator()
-        alloc.allocate(0, [1, 2], bootstrap=True)
-        grants = alloc.allocate(1, [1, 2, 3])
+        step(alloc, 0, [1, 2], bootstrap=True)
+        grants = step(alloc, 1, [1, 2, 3])
         assert grants.size == 3
         assert alloc.arrival_ema == pytest.approx([1.0, 2.0, 3.0])
 
@@ -244,3 +253,74 @@ class TestEngineIntegration:
         current[10] += 30
         resumed = sharded_engine(current, envelope, tmp_path)
         assert resumed.epoch == 1
+
+
+class TestRetriedEpochs:
+    """Steering state moves only when an epoch is published."""
+
+    DOMAIN = 1 << 12
+    SHARDS = 16
+    EPOCHS = 8
+
+    def arrivals(self):
+        rng = np.random.default_rng(20100919)
+        width = self.DOMAIN // self.SHARDS
+        for epoch in range(1, self.EPOCHS):
+            # A hot region that drifts right, over a uniform trickle.
+            hot = rng.integers(0, 6 * width, size=400) + epoch * width
+            trickle = rng.integers(0, self.DOMAIN, size=200)
+            yield np.concatenate([hot % self.DOMAIN, trickle])
+
+    def run(self, injected):
+        engine = ShardedStreamingEngine(
+            np.zeros(self.DOMAIN),
+            1.0,
+            allocator(
+                schedule=GeometricEpsilonSchedule(0.4, decay=0.5),
+                hot_fraction=0.25,
+            ),
+            num_shards=self.SHARDS,
+            name="retried",
+            seed=3,
+        )
+        with faults.session(injected):
+            for rows in self.arrivals():
+                engine.ingest(rows)
+                try:
+                    engine.advance_epoch()
+                except FaultError:
+                    engine.advance_epoch()  # the retry re-covers the rows
+        return engine
+
+    def test_allocate_proposes_without_moving_state(self):
+        alloc = allocator(smoothing=0.5)
+        step(alloc, 0, [4.0, 0.0], bootstrap=True)
+        first = alloc.allocate(1, [0.0, 8.0])
+        again = alloc.allocate(1, [0.0, 8.0])
+        assert alloc.arrival_ema == pytest.approx([4.0, 0.0])
+        assert np.array_equal(first.grants, again.grants)
+        assert np.array_equal(first.arrival_ema, again.arrival_ema)
+        alloc.commit(first)
+        assert alloc.arrival_ema == pytest.approx([2.0, 4.0])
+
+    def test_a_retried_epoch_refreshes_like_a_fault_free_run(self):
+        clean = self.run({})
+        # Epoch 0 is the first build, so the 4th build attempt is epoch 3.
+        retried = self.run({"stream.epoch_build": FailNth(4)})
+        refreshed = [record.refreshed for record in clean.lineage.records]
+        assert len(refreshed) == self.EPOCHS
+        assert [r.refreshed for r in retried.lineage.records] == refreshed
+        assert np.array_equal(
+            retried.schedule.arrival_ema, clean.schedule.arrival_ema
+        )
+        assert retried.lineage.spent_epsilon == clean.lineage.spent_epsilon
+
+    def test_an_empty_epoch_leaves_the_steering_state(self, counts):
+        alloc = allocator(
+            schedule=FixedEpsilonSchedule(0.1), min_refresh_rows=50
+        )
+        engine = sharded_engine(counts, alloc)
+        before = alloc.arrival_ema
+        engine.ingest(np.full(10, 0))
+        assert engine.advance_epoch() is None
+        assert np.array_equal(alloc.arrival_ema, before)

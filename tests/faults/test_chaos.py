@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.accuracy.schedule import AdaptiveEpsilonAllocator
 from repro.db.histogram import delta_counts
 from repro.exceptions import ReleaseStoreError
 from repro.faults import (
@@ -235,6 +236,14 @@ class TestStreamingChaos:
         assert engine.breaker.trips == 1
 
 
+def sharded_schedule(adaptive: bool):
+    """The chaos runs' ε envelope, optionally steered per shard."""
+    envelope = GeometricEpsilonSchedule(0.4, decay=0.5)
+    if adaptive:
+        return AdaptiveEpsilonAllocator(envelope, hot_fraction=0.25)
+    return envelope
+
+
 class TestShardedChaos:
     @pytest.mark.parametrize("chaos_seed", CHAOS_SEEDS)
     def test_shard_build_faults_retry_to_bit_exact_answers(
@@ -242,41 +251,97 @@ class TestShardedChaos:
     ):
         """Per-shard build failures under retry: the epoch still lands,
         charging its scheduled ε exactly once (parallel composition),
-        with answers bit-identical to the clean run."""
+        with answers bit-identical to the clean run — under a uniform and
+        an adaptive schedule."""
         rng = np.random.default_rng(7)
         counts = rng.poisson(5.0, size=200).astype(float)
         batch = QueryBatch.random(200, 64, rng=9)
 
-        def build(subdir, retry):
+        def build(subdir, retry, adaptive):
             return ShardedStreamingEngine(
                 counts,
                 1.0,
-                GeometricEpsilonSchedule(0.4, decay=0.5),
+                sharded_schedule(adaptive),
                 num_shards=4,
                 name="clicks",
                 seed=3,
                 workers=1,
-                store=ReleaseStore(tmp_path / subdir),
+                store=ReleaseStore(tmp_path / f"{subdir}-{adaptive}"),
                 retry=retry,
             )
 
-        baseline = build(f"clean-{chaos_seed}", None)
-        expected = baseline.submit(batch)
+        injected = 0
+        for adaptive in (False, True):
+            baseline = build(f"clean-{chaos_seed}", None, adaptive)
+            expected = baseline.submit(batch)
 
-        retry = RetryPolicy(max_attempts=8, base_delay=0.0, jitter=0.0)
-        with faults.session(
-            {"shard.build": FailWithProbability(0.3, seed=chaos_seed)}
-        ) as injector:
-            chaotic = build(f"chaos-{chaos_seed}", retry)
-            injected = injector.injected("shard.build")
+            retry = RetryPolicy(max_attempts=8, base_delay=0.0, jitter=0.0)
+            with faults.session(
+                {"shard.build": FailWithProbability(0.3, seed=chaos_seed)}
+            ) as injector:
+                chaotic = build(f"chaos-{chaos_seed}", retry, adaptive)
+                injected += injector.injected("shard.build")
 
-        assert chaotic.spent_epsilon == baseline.spent_epsilon == 0.4
-        assert chaotic.lineage.latest.refreshed == (0, 1, 2, 3)
-        result = chaotic.submit(batch)
-        assert result.epoch == expected.epoch
-        assert np.array_equal(result.answers, expected.answers)
+            assert chaotic.spent_epsilon == baseline.spent_epsilon == 0.4
+            assert chaotic.lineage.latest.refreshed == (0, 1, 2, 3)
+            result = chaotic.submit(batch)
+            assert result.epoch == expected.epoch
+            assert np.array_equal(result.answers, expected.answers)
         if injected == 0:
             pytest.skip(f"seed {chaos_seed} injected nothing at p=0.3")
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("chaos_seed", CHAOS_SEEDS)
+    def test_epoch_build_faults_leave_refresh_sets_and_answers_bit_exact(
+        self, tmp_path, chaos_seed, adaptive
+    ):
+        """Probabilistic epoch-build failures on a sharded stream: a killed
+        epoch charges nothing, restores its rows and — under an adaptive
+        schedule — leaves the allocator's steering state alone, so every
+        epoch refreshes the same shards as the clean run and the final
+        answers are bit-identical."""
+        size = 256
+        deltas = [
+            np.random.default_rng(20100903 + chaos_seed + i).integers(
+                0, 96 + 32 * i, size=80
+            )
+            for i in range(EPOCHS)
+        ]
+        batch = QueryBatch.random(size, 64, rng=9)
+
+        def run(subdir, injected):
+            engine = ShardedStreamingEngine(
+                np.zeros(size),
+                1.0,
+                sharded_schedule(adaptive),
+                num_shards=8,
+                name="clicks",
+                seed=3,
+                workers=1,
+                store=ReleaseStore(tmp_path / subdir),
+                build_first_epoch=False,
+            )
+            with faults.session(injected) as injector:
+                run_stream_epochs(engine, [np.array([])], tolerate=(FaultError,))
+                run_stream_epochs(engine, deltas, tolerate=(FaultError,))
+                fired = injector.injected("stream.epoch_build")
+            return engine, fired
+
+        clean, _ = run(f"clean-{chaos_seed}", {})
+        chaotic, injected = run(
+            f"chaos-{chaos_seed}",
+            {"stream.epoch_build": FailWithProbability(0.4, seed=chaos_seed)},
+        )
+        assert [r.refreshed for r in chaotic.lineage.records] == [
+            r.refreshed for r in clean.lineage.records
+        ]
+        assert chaotic.spent_epsilon == clean.spent_epsilon
+        assert chaotic.lineage.spent_epsilon == clean.lineage.spent_epsilon
+        result = chaotic.submit(batch)
+        assert result.epoch == clean.epoch == EPOCHS
+        assert np.array_equal(result.answers, clean.submit(batch).answers)
+        if injected == 0:
+            pytest.skip(f"seed {chaos_seed} injected nothing at p=0.4")
 
 
 class TestStoreChaos:
